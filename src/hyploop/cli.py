@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -249,33 +248,6 @@ def _point_dict(p) -> dict:
     }
 
 
-def _write_melnikov_csv(path, cfg: RunConfig, value_grid, grad_grid):
-    g1, g2 = cfg.box.grid(cfg.grid)
-    z1, z2 = g1.ravel(), g2.ravel()
-    # the chunk size matches the evaluators' internal batching, so threaded
-    # and serial runs perform identical numpy reductions (bit-equal output)
-    chunks = [np.arange(s, min(s + 256, z1.size)) for s in range(0, z1.size, 256)]
-    values = np.empty(z1.size)
-    d1 = np.empty(z1.size)
-    d2 = np.empty(z1.size)
-
-    def work(idx):
-        values[idx] = value_grid(z1[idx], z2[idx])
-        d1[idx], d2[idx] = grad_grid(z1[idx], z2[idx])
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            list(pool.map(work, chunks))
-    else:
-        for idx in chunks:
-            work(idx)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["z1", "z2", "F", "dF1", "dF2"])
-        for i in range(z1.size):
-            writer.writerow([fmt(z1[i]), fmt(z2[i]), fmt(values[i]), fmt(d1[i]), fmt(d2[i])])
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -285,16 +257,13 @@ def _cmd_melnikov(cfg: RunConfig, euclid: bool = False) -> int:
     if cfg.box is None:
         raise ConfigError("--box is required for melnikov")
     expr = cfg.parsed_field()
-    if euclid:
-        value_grid = lambda a, b: euclidean.melnikov_grid_euclid(a, b, cfg.k, expr)
-        grad_grid = lambda a, b: euclidean.melnikov_gradient_grid_euclid(a, b, cfg.k, expr)
-        search = euclidean.find_critical_euclid(cfg.k, expr, cfg.box, cfg.grid)
-    else:
-        value_grid = lambda a, b: melnikov.melnikov_grid(a, b, cfg.k, expr)
-        grad_grid = lambda a, b: melnikov.melnikov_gradient_grid(a, b, cfg.k, expr)
-        search = melnikov.find_critical(cfg.k, expr, cfg.box, cfg.grid)
+    find = euclidean.find_critical_euclid if euclid else melnikov.find_critical
+    search = find(cfg.k, expr, cfg.box, cfg.grid)
     out = cfg.out or "melnikov.csv"
-    _write_melnikov_csv(out, cfg, value_grid, grad_grid)
+    with Path(out).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["z1", "z2", "F", "dF1", "dF2"])
+        writer.writerows([fmt(v) for v in row] for row in zip(*search.grid))
     report = {
         "schema": SCHEMA,
         "command": "euclid melnikov" if euclid else "melnikov",

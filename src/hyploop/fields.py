@@ -1,17 +1,20 @@
 """Curvature fields K(z1, z2): parsing, evaluation, symbolic derivatives.
 
 A field is given as text ("z1^2 + (z2-2)^2", "tanh(z1)", ...) and parsed
-into a small immutable AST.  Evaluation is numpy-vectorized; partial
-derivatives are built symbolically (no simplification beyond folding
-zeros and ones).  The module also hosts the sampled nonexistence report:
-a bounded field, or one whose gradient pairs with a Killing field at a
-fixed sign, admits no loop of that curvature, and ``check_nonexistence``
-looks for that evidence on a grid.
+into a small immutable AST, compiled once into a numpy closure cached on
+the expression; the compiler keeps domain checks only where they can fire.
+Partial derivatives are built symbolically (no simplification beyond
+folding zeros and ones), once per expression.  The module also hosts the
+sampled nonexistence report: a bounded field, or one whose gradient pairs
+with a Killing field at a fixed sign, admits no loop of that curvature,
+and ``check_nonexistence`` looks for that evidence on a grid.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +35,10 @@ class FieldExpr:
     def __call__(self, z1, z2):
         return eval_field(self, z1, z2)
 
+    # compiled on first evaluation, then kept on the expression
+    _kernel = cached_property(lambda self: _compile(self))
+    _grad = cached_property(lambda self: (self.diff("z1"), self.diff("z2")))
+
     def __repr__(self):
         return f"{type(self).__name__}({self.text()})"
 
@@ -39,9 +46,6 @@ class FieldExpr:
         raise NotImplementedError
 
     def diff(self, var: str) -> "FieldExpr":
-        raise NotImplementedError
-
-    def _eval(self, z1, z2):
         raise NotImplementedError
 
     # precedence for printing: higher binds tighter
@@ -58,10 +62,6 @@ class Const(FieldExpr):
     def diff(self, var):
         return Const(0.0)
 
-    def _eval(self, z1, z2):
-        return np.broadcast_to(np.float64(self.value), np.shape(z1)).copy() \
-            if np.shape(z1) else np.float64(self.value)
-
 
 @dataclass(frozen=True, repr=False)
 class Var(FieldExpr):
@@ -72,9 +72,6 @@ class Var(FieldExpr):
 
     def diff(self, var):
         return Const(1.0 if var == self.name else 0.0)
-
-    def _eval(self, z1, z2):
-        return np.asarray(z1 if self.name == "z1" else z2, dtype=float)
 
 
 @dataclass(frozen=True, repr=False)
@@ -87,9 +84,6 @@ class Neg(FieldExpr):
 
     def diff(self, var):
         return _neg(self.arg.diff(var))
-
-    def _eval(self, z1, z2):
-        return -self.arg._eval(z1, z2)
 
 
 @dataclass(frozen=True, repr=False)
@@ -133,21 +127,6 @@ class BinOp(FieldExpr):
         term = _add(_mul(db, Fn("log", a)), _div(_mul(b, da), a))
         return _mul(BinOp("^", a, b), term)
 
-    def _eval(self, z1, z2):
-        x = self.left._eval(z1, z2)
-        y = self.right._eval(z1, z2)
-        if self.op == "+":
-            return x + y
-        if self.op == "-":
-            return x - y
-        if self.op == "*":
-            return x * y
-        if self.op == "/":
-            if np.any(y == 0.0):
-                raise EvalDomainError(f"division by zero in {self.text()!r}")
-            return x / y
-        return _checked_pow(x, y, self)
-
 
 @dataclass(frozen=True, repr=False)
 class Fn(FieldExpr):
@@ -180,40 +159,10 @@ class Fn(FieldExpr):
         # argument never vanishes.
         return _mul(Fn("signum", a), da)
 
-    def _eval(self, z1, z2):
-        v = self.arg._eval(z1, z2)
-        if self.name == "log":
-            if np.any(v <= 0.0):
-                raise EvalDomainError(f"log of non-positive value in {self.text()!r}")
-            return np.log(v)
-        if self.name == "sqrt":
-            if np.any(v < 0.0):
-                raise EvalDomainError(f"sqrt of negative value in {self.text()!r}")
-            return np.sqrt(v)
-        if self.name == "signum":
-            if np.any(v == 0.0):
-                raise NonDifferentiable(
-                    "gradient of abs(...) queried where its argument vanishes"
-                )
-            return np.sign(v)
-        fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
-              "tanh": np.tanh, "atan": np.arctan, "abs": np.abs}[self.name]
-        return fn(v)
-
 
 def _wrap(node: FieldExpr, min_prec: int) -> str:
     s = node.text()
     return f"({s})" if node.prec < min_prec else s
-
-
-def _checked_pow(x, y, node):
-    y_arr = np.asarray(y)
-    integral = np.equal(np.floor(y_arr), y_arr)
-    if np.any((np.asarray(x) == 0.0) & (y_arr < 0.0)):
-        raise EvalDomainError(f"0 raised to a negative power in {node.text()!r}")
-    if np.any((np.asarray(x) < 0.0) & ~integral):
-        raise EvalDomainError(f"negative base with non-integer exponent in {node.text()!r}")
-    return np.power(x, y)
 
 
 # light constant folding; keeps derivative trees small
@@ -261,6 +210,86 @@ def _div(a, b):
     if _is_const(b, 1.0):
         return a
     return BinOp("/", a, b)
+
+
+# ---------------------------------------------------------------------------
+# Compilation into numpy closures
+# ---------------------------------------------------------------------------
+
+_NUMPY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+          "^": np.power, "neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+          "log": np.log, "tanh": np.tanh, "atan": np.arctan, "sqrt": np.sqrt, "abs": np.abs,
+          "signum": np.sign}
+# domain checks: the test on the operands that fails, the error, its message
+_CHECKS = {
+    "log": (lambda v: v <= 0.0, EvalDomainError, "log of non-positive value in {!r}"),
+    "sqrt": (lambda v: v < 0.0, EvalDomainError, "sqrt of negative value in {!r}"),
+    "signum": (lambda v: v == 0.0, NonDifferentiable,
+               "gradient of abs(...) queried where its argument vanishes"),
+    "/": (lambda x, y: y == 0.0, EvalDomainError, "division by zero in {!r}"),
+    "0^-": (lambda x, y: (x == 0.0) & (y < 0.0), EvalDomainError,
+            "0 raised to a negative power in {!r}"),
+    "-^x": (lambda x, y: (x < 0.0) & (np.floor(y) != y), EvalDomainError,
+            "negative base with non-integer exponent in {!r}"),
+}
+
+
+def _constant(node):
+    """Value of a signed numeric literal (``2``, ``-0.5``), else None."""
+    if isinstance(node, Neg):
+        c = _constant(node.arg)
+        return None if c is None else -c
+    return float(node.value) if isinstance(node, Const) else None
+
+
+def _compile(node):
+    """Numpy closure (z1, z2) -> K for the tree under ``node``.
+
+    Constants stay scalars and ``x^1`` is its base.  Checks are kept for log,
+    sqrt, signum, division unless by a nonzero constant, and ``^`` unless the
+    exponent is a non-negative integer constant.  Children are compiled through
+    ``map``: one Python frame per tree level, as in evaluation.
+    """
+    c = _constant(node)
+    if c is not None:
+        value = np.float64(c)
+        return lambda z1, z2: value
+    if isinstance(node, Var):
+        return (lambda z1, z2: z1) if node.name == "z1" else (lambda z1, z2: z2)
+    if isinstance(node, (Neg, Fn)):
+        op, children = (node.name if isinstance(node, Fn) else "neg"), [node.arg]
+        checks = [op] if op in _CHECKS else []
+    else:
+        op, children, c = node.op, [node.left, node.right], _constant(node.right)
+        checks = ["/"] if op == "/" and c in (None, 0.0) else []
+        if op == "^":
+            if c == 1.0:
+                return _compile(node.left)
+            checks = [name for name, fires in (("0^-", c is None or c < 0.0),
+                                               ("-^x", c is None or np.floor(c) != c)) if fires]
+    return _node_kernel(node, op, list(map(_compile, children)), checks)
+
+
+def _node_kernel(node, op, kernels, checks):
+    """Kernel applying ``_NUMPY[op]`` to the children's values, left to right,
+    once none of the node's ``checks`` fails."""
+    apply = _NUMPY[op]
+    if not checks and len(kernels) == 1:
+        f = kernels[0]
+        return lambda z1, z2: apply(f(z1, z2))
+    if not checks:
+        fa, fb = kernels
+        return lambda z1, z2: apply(fa(z1, z2), fb(z1, z2))
+    tests = [_CHECKS[name] for name in checks]
+
+    def kernel(z1, z2):
+        args = [f(z1, z2) for f in kernels]
+        for fails, error, message in tests:
+            if np.any(fails(*args)):
+                raise error(message.format(node.text()))
+        return apply(*args)
+
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -421,17 +450,11 @@ def as_field(field) -> FieldExpr:
 
 def eval_field(field, z1, z2):
     """Evaluate K at (z1, z2); arguments broadcast like numpy arrays."""
-    expr = as_field(field)
+    kernel = as_field(field)._kernel
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
-    out = expr._eval(z1, z2)
+    out = kernel(z1, z2)
     return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast_shapes(z1.shape, z2.shape))
-
-
-def eval_field_at(field, z) -> float:
-    """Evaluate K at a single point-like z."""
-    return float(eval_field(field, z[0] if not hasattr(z, "z1") else z.z1,
-                            z[1] if not hasattr(z, "z2") else z.z2))
 
 
 def grad_field(field) -> tuple[FieldExpr, FieldExpr]:
@@ -439,9 +462,10 @@ def grad_field(field) -> tuple[FieldExpr, FieldExpr]:
 
     The hyperbolic gradient is ``z2**2`` times this, so the two share the
     same zero set; callers needing the hyperbolic one scale at evaluation.
+    Built once per expression; later calls return the same pair, whose
+    compiled kernels are then reused too.
     """
-    expr = as_field(field)
-    return expr.diff("z1"), expr.diff("z2")
+    return as_field(field)._grad
 
 
 def eval_grad(field, z1, z2) -> tuple[np.ndarray, np.ndarray]:

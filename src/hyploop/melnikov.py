@@ -157,13 +157,15 @@ class CriticalSearch:
 
     ``interior_min``/``interior_max`` record whether the grid values attain
     a strict interior minimum/maximum (the elementary stability evidence);
-    both are sampled statements, not certificates.
+    both are sampled statements, not certificates.  ``grid`` is the scanned
+    landscape (z1, z2, F, dF1, dF2) as flat arrays in ``region.grid`` order.
     """
 
     points: tuple[MelnikovSample, ...]
     note: str | None
     interior_min: bool
     interior_max: bool
+    grid: tuple[np.ndarray, ...]
 
     def require_points(self) -> tuple[MelnikovSample, ...]:
         if not self.points:
@@ -234,8 +236,10 @@ def search_critical_points(
     """
     g1, g2 = region.grid(grid)
     shape = g1.shape
-    values = value_grid_fn(g1.ravel(), g2.ravel()).reshape(shape)
-    d1, d2 = grad_grid_fn(g1.ravel(), g2.ravel())
+    z1, z2 = g1.ravel(), g2.ravel()
+    flat, (d1, d2) = value_grid_fn(z1, z2), grad_grid_fn(z1, z2)
+    landscape = (z1, z2, flat, d1, d2)
+    values = flat.reshape(shape)
     gnorm = np.hypot(d1, d2).reshape(shape)
 
     interior_min = bool(
@@ -247,7 +251,8 @@ def search_critical_points(
 
     vscale = max(1.0, float(np.abs(values).max()))
     if gnorm.max() <= 1e-12 * vscale:
-        return CriticalSearch((), "F constant, no critical point", interior_min, interior_max)
+        return CriticalSearch((), "F constant, no critical point", interior_min, interior_max,
+                              landscape)
 
     def grad_fn(z):
         a, b = grad_grid_fn(np.array([z[0]]), np.array([z[1]]))
@@ -290,7 +295,7 @@ def search_critical_points(
             )
         )
     note = None if points else "no gradient zero found in the region"
-    return CriticalSearch(tuple(points), note, interior_min, interior_max)
+    return CriticalSearch(tuple(points), note, interior_min, interior_max, landscape)
 
 
 def _boundary(values: np.ndarray) -> np.ndarray:

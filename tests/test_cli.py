@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from hyploop import euclidean, melnikov
 from hyploop.cli import main, to_json
+from hyploop.fields import PlaneBox, RegionBox
 
 QUADRATIC = "z1^2 + (z2-2)^2"
 
@@ -69,6 +71,51 @@ class TestMelnikovCommand:
         run(capsys, *args, "--out", str(tmp_path / "a.csv"))
         run(capsys, *args, "--out", str(tmp_path / "b.csv"), "--threads", "4")
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "command,module,value_name,grad_name,box",
+        [
+            (("melnikov",), melnikov, "melnikov_grid", "melnikov_gradient_grid",
+             RegionBox(-0.6, 0.6, 1.2, 2.8)),
+            (("euclid", "melnikov"), euclidean, "melnikov_grid_euclid",
+             "melnikov_gradient_grid_euclid", PlaneBox(-0.6, 0.6, 1.4, 2.6)),
+        ],
+    )
+    def test_csv_is_the_search_grid_evaluated_once(
+        self, capsys, tmp_path, monkeypatch, command, module, value_name, grad_name, box,
+    ):
+        value_grid, grad_grid = getattr(module, value_name), getattr(module, grad_name)
+        calls = {"value": [], "gradient": []}
+
+        def counted(kind, fn):
+            def wrapper(z1, z2, *args, **kwargs):
+                calls[kind].append(list(zip(np.ravel(z1), np.ravel(z2))))
+                return fn(z1, z2, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(module, value_name, counted("value", value_grid))
+        monkeypatch.setattr(module, grad_name, counted("gradient", grad_grid))
+        out_csv = tmp_path / "m.csv"
+        box_text = f"{box.z1min},{box.z1max},{box.z2min},{box.z2max}"
+        code, _, _ = run(capsys, *command, "--k", "2", "--field", QUADRATIC,
+                         "--box", box_text, "--grid", "8", "--out", str(out_csv))
+        assert code == 0
+
+        g1, g2 = box.grid(8)  # no node at the critical point
+        z1, z2 = g1.ravel(), g2.ravel()
+        rows = np.loadtxt(out_csv, delimiter=",", skiprows=1)
+        assert np.array_equal(rows[:, 0], z1) and np.array_equal(rows[:, 1], z2)
+        assert np.array_equal(rows[:, 2], value_grid(z1, z2, 2.0, QUADRATIC))
+        d1, d2 = grad_grid(z1, z2, 2.0, QUADRATIC)
+        assert np.array_equal(rows[:, 3], d1) and np.array_equal(rows[:, 4], d2)
+
+        centers = list(zip(z1, z2))
+        values = [c for call in calls["value"] for c in call]
+        assert all(values.count(c) == 1 for c in centers)
+        # Newton's one-center calls start from grid nodes; the scan itself is one batch
+        batches = [call for call in calls["gradient"] if len(call) > 1]
+        assert batches == [centers]
+        assert all(len(call) == 1 for call in calls["value"][1:])
 
 
 class TestKernelCommand:

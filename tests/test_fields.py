@@ -151,6 +151,123 @@ class TestGradient:
         assert np.array_equal(euc < tol, hyp < tol)
 
 
+# text -> (K, dK/dz1, dK/dz2) in plain numpy, and the (z1, z2) ranges sampled,
+# inside the field's domain
+HAND_WRITTEN = {
+    "1": (lambda a, b: 1.0 + 0 * a, lambda a, b: 0 * a, lambda a, b: 0 * a, (0.5, 2.5), (0.5, 3)),
+    "z1^2 + (z2-2)^2": (
+        lambda a, b: a**2 + (b - 2) ** 2, lambda a, b: 2 * a, lambda a, b: 2 * (b - 2),
+        (0.5, 2.5), (0.5, 3),
+    ),
+    "tanh(z1)": (
+        lambda a, b: np.tanh(a), lambda a, b: 1 - np.tanh(a) ** 2, lambda a, b: 0 * a,
+        (0.5, 2.5), (0.5, 3),
+    ),
+    "sin(z1) * cos(z2)": (
+        lambda a, b: np.sin(a) * np.cos(b), lambda a, b: np.cos(a) * np.cos(b),
+        lambda a, b: -np.sin(a) * np.sin(b), (0.5, 2.5), (0.5, 3),
+    ),
+    "exp(-z1^2 - (z2-2)^2)": (
+        lambda a, b: np.exp(-(a**2) - (b - 2) ** 2),
+        lambda a, b: -2 * a * np.exp(-(a**2) - (b - 2) ** 2),
+        lambda a, b: -2 * (b - 2) * np.exp(-(a**2) - (b - 2) ** 2), (0.5, 2.5), (0.5, 3),
+    ),
+    "atan(z1 * z2)": (
+        lambda a, b: np.arctan(a * b), lambda a, b: b / (1 + (a * b) ** 2),
+        lambda a, b: a / (1 + (a * b) ** 2), (0.5, 2.5), (0.5, 3),
+    ),
+    "sqrt(z2) + z1 / z2": (
+        lambda a, b: np.sqrt(b) + a / b, lambda a, b: 1 / b,
+        lambda a, b: 1 / (2 * np.sqrt(b)) - a / b**2, (0.5, 2.5), (0.5, 3),
+    ),
+    "log(z2) - z1^3 / 7": (
+        lambda a, b: np.log(b) - a**3 / 7, lambda a, b: -3 * a**2 / 7, lambda a, b: 1 / b,
+        (-2.5, -0.5), (1.0, 3),
+    ),
+    "2 ^ z2": (
+        lambda a, b: 2.0**b, lambda a, b: 0 * a, lambda a, b: 2.0**b * np.log(2.0),
+        (0.5, 2.5), (0.5, 3),
+    ),
+    "z1^0": (
+        lambda a, b: 1.0 + 0 * a, lambda a, b: 0 * a, lambda a, b: 0 * a, (-2.5, 2.5), (0.5, 3),
+    ),
+    "z1^1": (lambda a, b: a, lambda a, b: 1.0 + 0 * a, lambda a, b: 0 * a, (-2.5, 2.5), (0.5, 3)),
+    "z1^3": (lambda a, b: a**3, lambda a, b: 3 * a**2, lambda a, b: 0 * a, (-2.5, 2.5), (0.5, 3)),
+    "z1^-1": (lambda a, b: 1 / a, lambda a, b: -1 / a**2, lambda a, b: 0 * a, (0.5, 2.5), (0.5, 3)),
+    "z2^0.5": (
+        lambda a, b: np.sqrt(b), lambda a, b: 0 * a, lambda a, b: 0.5 / np.sqrt(b),
+        (-2.5, 2.5), (0.5, 3),
+    ),
+    "z2^z1": (
+        lambda a, b: b**a, lambda a, b: b**a * np.log(b), lambda a, b: a * b ** (a - 1),
+        (-2.5, 2.5), (0.5, 3),
+    ),
+    "abs(z1-0.3)": (
+        lambda a, b: np.abs(a - 0.3), lambda a, b: np.sign(a - 0.3), lambda a, b: 0 * a,
+        (-2.5, 2.5), (0.5, 3),
+    ),
+}
+
+
+class TestCompiledKernels:
+    """Compiled value and gradient against hand-written numpy, to 1e-14 relative."""
+
+    @pytest.mark.parametrize(
+        "text", TEST_FIELDS + ["z1^0", "z1^1", "z1^3", "z1^-1", "z2^0.5", "z2^z1", "abs(z1-0.3)"]
+    )
+    def test_value_and_gradient(self, text, rng):
+        k, k1, k2, (lo1, hi1), (lo2, hi2) = HAND_WRITTEN[text]
+        z1 = rng.uniform(lo1, hi1, 500)
+        z2 = rng.uniform(lo2, hi2, 500)
+        expr = parse_field(text)
+        g1, g2 = eval_grad(expr, z1, z2)
+        np.testing.assert_allclose(eval_field(expr, z1, z2), k(z1, z2), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(g1, k1(z1, z2), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(g2, k2(z1, z2), rtol=1e-14, atol=0)
+
+    def test_deep_tree(self):
+        # a left-leaning sum 500 levels deep compiles, evaluates and differentiates
+        expr = parse_field(" + ".join(["z1 * z2"] * 500))
+        assert eval_field(expr, 1.0, 2.0) == 1000.0
+        g1, g2 = eval_grad(expr, 1.0, 2.0)
+        assert g1 == 1000.0 and g2 == 500.0
+
+    def test_gradient_is_built_once_per_expression(self):
+        expr = parse_field("exp(-z1^2)*sin(z2) + tanh(z1*z2)")
+        assert grad_field(expr) is grad_field(expr)
+
+
+class TestDomain:
+    """Each domain check raises its error with the message naming the node."""
+
+    @pytest.mark.parametrize(
+        "text,z,message",
+        [
+            ("1/(z1-z1)", (0.7, 1.0), "division by zero in '1.0 / (z1 - z1)'"),
+            ("atan(1/z1)", (0.0, 1.0), "division by zero in '1.0 / z1'"),
+            ("exp(-1/z1)", (0.0, 1.0), "division by zero in '-1.0 / z1'"),
+            ("log(z1)", (0.0, 1.0), "log of non-positive value in 'log(z1)'"),
+            ("sqrt(z1)", (-1.0, 1.0), "sqrt of negative value in 'sqrt(z1)'"),
+            ("z1^-1", (0.0, 1.0), "0 raised to a negative power in 'z1^(-1.0)'"),
+            ("z1^0.5", (-1.0, 1.0), "negative base with non-integer exponent in 'z1^0.5'"),
+            ("z1^z2", (-1.0, 0.5), "negative base with non-integer exponent in 'z1^z2'"),
+        ],
+    )
+    def test_eval_domain_error(self, text, z, message):
+        with pytest.raises(EvalDomainError) as info:
+            eval_field(parse_field(text), *z)
+        assert str(info.value) == message
+
+    def test_abs_gradient_at_zero(self):
+        with pytest.raises(NonDifferentiable) as info:
+            eval_grad(parse_field("abs(z1)"), 0.0, 1.0)
+        assert str(info.value) == "gradient of abs(...) queried where its argument vanishes"
+
+    def test_overflow_gives_inf_not_an_error(self):
+        with pytest.warns(RuntimeWarning):
+            assert eval_field(parse_field("exp(z1)"), 1000.0, 1.0) == np.inf
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("text", TEST_FIELDS + ["-(z1 - z2) ^ 3", "1 - (2 - z1)"])
     def test_pretty_print_reparses_bitwise(self, text, rng):
