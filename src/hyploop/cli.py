@@ -55,7 +55,10 @@ def fmt(x) -> str:
 
 
 def to_json(value, indent: int = 0) -> str:
-    """Serialize with floats at 17 significant digits (json.dumps would not)."""
+    """Serialize with floats at 17 significant digits (json.dumps would not).
+
+    Non-finite floats have no JSON spelling and are written as null.
+    """
     pad = "  " * indent
     if isinstance(value, dict):
         if not value:
@@ -78,7 +81,7 @@ def to_json(value, indent: int = 0) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        return fmt(value)
+        return fmt(value) if np.isfinite(value) else "null"
     return json.dumps(value)
 
 
@@ -103,7 +106,6 @@ class RunConfig:
     grid: int = 32
     n_samples: int = 256
     out: str | None = None
-    threads: int = 1
     z: tuple | None = None
     infile: str | None = None
     tolerances: dict | None = None
@@ -156,7 +158,7 @@ def _build_config(args, euclid: bool = False) -> RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
     for key in ("k", "eps", "eps_list", "field", "box", "grid",
-                "n_samples", "out", "threads", "z"):
+                "n_samples", "out", "z"):
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
@@ -213,7 +215,6 @@ def _build_config(args, euclid: bool = False) -> RunConfig:
         grid=grid,
         n_samples=n_samples,
         out=merged.get("out"),
-        threads=int(merged.get("threads", 1)),
         z=z,
         infile=merged.get("infile"),
         tolerances=tolerances,
@@ -305,10 +306,15 @@ def _cmd_kernel(cfg: RunConfig) -> int:
 def _cmd_verify(cfg: RunConfig) -> int:
     if cfg.infile is None:
         raise ConfigError("--in is required for verify")
-    loop, meta = load_loop(cfg.infile)
-    field_text = cfg.field if cfg.field is not None else (meta or {}).get("field")
+    try:
+        loop, meta = load_loop(cfg.infile)
+        field_text = cfg.field if cfg.field is not None else (meta or {}).get("field")
+        eps = cfg.eps if cfg.eps_given else float((meta or {}).get("eps", 0.0))
+    except (OSError, ValueError, TypeError) as exc:
+        raise ConfigError(f"cannot read loop {cfg.infile!r}: {exc}")
+    if not loop.is_upper:
+        raise ConfigError(f"loop {cfg.infile!r} leaves the half-plane (a sample has u2 <= 0)")
     expr = parse_field(field_text) if field_text else None
-    eps = cfg.eps if cfg.eps_given else float((meta or {}).get("eps", 0.0))
     if expr is None:
         eps = 0.0
     rep = verify_solution(loop, cfg.k, eps, expr)
@@ -321,6 +327,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
         "in": str(cfg.infile),
         "defects": _defects_dict(rep),
     }
+    if not np.isfinite(rep.residual_sup):
+        emit(report, "hyploop: numerical failure: degenerate loop (numerically constant "
+                     "or its speed collapses); defects are null")
+        return EXIT_NUMERICAL
     emit(report, rep.summary())
     return EXIT_OK
 
@@ -486,8 +496,6 @@ def _add_common(p, *names):
         p.add_argument("--n-samples", dest="n_samples", type=int)
     if "out" in names:
         p.add_argument("--out")
-    if "threads" in names:
-        p.add_argument("--threads", type=int)
     if "z" in names:
         p.add_argument("--z", help="z1,z2")
     if "eps_list" in names:
@@ -501,13 +509,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     _add_common(sub.add_parser("solve", help="solve for a prescribed-curvature loop"),
-                "k", "eps", "field", "box", "grid", "n_samples", "out", "threads")
+                "k", "eps", "field", "box", "grid", "n_samples", "out")
     _add_common(sub.add_parser("reduce", help="one correction solve at fixed (eps, z)"),
                 "k", "eps", "field", "z", "n_samples")
     _add_common(sub.add_parser("continue", help="warm-started continuation in eps"),
                 "k", "field", "box", "grid", "n_samples", "out", "eps_list")
     _add_common(sub.add_parser("melnikov", help="disk-average landscape and critical points"),
-                "k", "field", "box", "grid", "out", "threads")
+                "k", "field", "box", "grid", "out")
     _add_common(sub.add_parser("kernel", help="frequency-block kernel survey"),
                 "k", "n_samples")
     _add_common(sub.add_parser("verify", help="re-verify a stored loop"),
@@ -517,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="euclid_command", required=True
     )
     _add_common(eu.add_parser("solve"), "k", "eps", "field", "box", "grid", "n_samples", "out")
-    _add_common(eu.add_parser("melnikov"), "k", "field", "box", "grid", "out", "threads")
+    _add_common(eu.add_parser("melnikov"), "k", "field", "box", "grid", "out")
     return parser
 
 

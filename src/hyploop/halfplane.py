@@ -32,9 +32,6 @@ class HyperPoint:
         if not self.z2 > 0:
             raise ValueError(f"HyperPoint needs z2 > 0, got z2={self.z2}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.z1, self.z2], dtype=float)
-
 
 @dataclass(frozen=True)
 class HypDisk:
@@ -63,12 +60,6 @@ def rot90(v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     return np.stack((-v[..., 1], v[..., 0]), axis=-1)
-
-
-def complex_square(v: np.ndarray) -> np.ndarray:
-    """z**2 in complex notation: (v1**2 - v2**2, 2*v1*v2)."""
-    v = np.asarray(v, dtype=float)
-    return np.stack((v[..., 0] ** 2 - v[..., 1] ** 2, 2.0 * v[..., 0] * v[..., 1]), axis=-1)
 
 
 def hyp_distance(p, q) -> float:
@@ -122,12 +113,6 @@ def translate(z, u):
     out = np.asarray(u, dtype=float) * zp.z2
     out[..., 0] += zp.z1
     return out
-
-
-def speed_profile(u) -> np.ndarray:
-    """Hyperbolic speed |u'|_g = u2**-1 |u'| at each sample of a loop."""
-    up = u.deriv(1)
-    return np.hypot(up[:, 0], up[:, 1]) / u.samples[:, 1]
 
 
 def check_regular(u) -> np.ndarray:

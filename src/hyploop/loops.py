@@ -295,10 +295,38 @@ def winding_number(u: Loop) -> int:
 def is_embedded(u: Loop, refine: int = 4) -> bool:
     """Self-intersection test on a spectrally refined closed polyline.
 
-    Checks every non-adjacent segment pair; touching pairs count as
-    intersections, so multiply covered loops are rejected.
+    The loop is refined to M = refine*N points.  Fast path, O(M): about
+    the centroid c, every cross product (p_i - c) x (p_{i+1} - c) has the
+    same strict sign and the turning angles add up to +-2*pi.  Then each
+    edge sweeps its own open angular sector of width in (0, pi), the
+    sectors tile the circle exactly once, so non-adjacent edges cannot
+    meet and adjacent ones share only their vertex: the polygon is
+    star-shaped about c and therefore simple.  Every near-circle loop the
+    solver produces passes it.
+
+    Otherwise (not star-shaped about c, multiply covered, self-crossing)
+    the O(M**2) test over all non-adjacent segment pairs decides; touching
+    pairs count as intersections, so multiply covered loops are rejected.
     """
     pts = u.refined(refine).samples
+    return _star_shaped(pts) or _all_pairs_simple(pts)
+
+
+def _star_shaped(pts: np.ndarray) -> bool:
+    """Sufficient test for simplicity: strictly monotone polar angle, winding +-1."""
+    rel = pts - pts.mean(axis=0)
+    nxt = np.roll(rel, -1, axis=0)
+    cross = rel[:, 0] * nxt[:, 1] - rel[:, 1] * nxt[:, 0]
+    # a relative margin so that a cross product lost to rounding fails the test
+    margin = 1e-12 * np.hypot(rel[:, 0], rel[:, 1]) * np.hypot(nxt[:, 0], nxt[:, 1])
+    if not (np.all(cross > margin) or np.all(cross < -margin)):
+        return False
+    turning = np.arctan2(cross, (rel * nxt).sum(axis=1)).sum()
+    return abs(round(turning / (2.0 * np.pi))) == 1
+
+
+def _all_pairs_simple(pts: np.ndarray) -> bool:
+    """True when no two non-adjacent edges of the closed polyline meet."""
     m = pts.shape[0]
     a = pts
     b = np.roll(pts, -1, axis=0)
@@ -457,17 +485,32 @@ def save_loop(path, u: Loop, meta: dict | None = None):
 
 
 def load_loop(path) -> tuple[Loop, dict | None]:
-    """Read a loop CSV and its sidecar (if present)."""
+    """Read a loop CSV and its sidecar (if present).
+
+    Raises ValueError unless the rows carry j = 0..N-1, each once, and N
+    equals the sidecar's "N" when the sidecar gives one; a truncated or
+    spliced file is rejected instead of read as a smaller loop.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip() for h in header] != ["j", "x1", "x2", "u1", "u2"]:
             raise ValueError(f"unexpected loop CSV header {header!r} in {path}")
-        rows = sorted((int(r[0]), float(r[3]), float(r[4])) for r in reader if r)
-    samples = np.array([[r[1], r[2]] for r in rows])
+        rows = [r for r in reader if r]
+    if any(len(r) != 5 for r in rows):
+        raise ValueError(f"loop CSV rows need 5 fields in {path}")
+    rows = sorted((int(r[0]), float(r[3]), float(r[4])) for r in rows)
+    n = len(rows)
+    if [r[0] for r in rows] != list(range(n)):
+        raise ValueError(f"column j of {path} is not 0..{n - 1}, each once")
     meta = None
     sc = sidecar_path(path)
     if sc.exists():
         meta = json.loads(sc.read_text())
+        if not isinstance(meta, dict):
+            raise ValueError(f"sidecar {sc} is not a JSON object")
+        if "N" in meta and meta["N"] != n:
+            raise ValueError(f"{path} has {n} samples but its sidecar says N = {meta['N']}")
+    samples = np.array([[r[1], r[2]] for r in rows])
     return Loop(samples), meta

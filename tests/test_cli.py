@@ -6,8 +6,13 @@ import pytest
 from hyploop import euclidean, melnikov
 from hyploop.cli import main, to_json
 from hyploop.fields import PlaneBox, RegionBox
+from hyploop.loops import Loop, reference_loop, save_loop
 
 QUADRATIC = "z1^2 + (z2-2)^2"
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def run(capsys, *argv):
@@ -20,6 +25,12 @@ class TestJsonFormat:
     def test_floats_are_17_significant_digits(self):
         text = to_json({"x": 1 / 3})
         assert "0.33333333333333331" in text
+
+    def test_non_finite_floats_are_null(self):
+        text = to_json({"a": np.inf, "b": [-np.inf, np.nan, 1.5], "c": np.float64("nan")})
+        assert json.loads(text, parse_constant=reject_constant) == {
+            "a": None, "b": [None, None, 1.5], "c": None,
+        }
 
     def test_round_trips_through_json(self):
         payload = {"a": [1.0, np.pi, True, None], "b": {"c": 7}}
@@ -64,13 +75,6 @@ class TestMelnikovCommand:
         assert code1 == code2 == 0
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert out1.replace("a.csv", "b.csv") == out2
-
-    def test_threads_give_identical_csv(self, capsys, tmp_path):
-        args = ("melnikov", "--k", "2", "--field", QUADRATIC, "--box", "-0.6,0.6,1.2,2.8",
-                "--grid", "6")
-        run(capsys, *args, "--out", str(tmp_path / "a.csv"))
-        run(capsys, *args, "--out", str(tmp_path / "b.csv"), "--threads", "4")
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "command,module,value_name,grad_name,box",
@@ -150,6 +154,58 @@ class TestSolveVerifyRoundTrip:
         verified = json.loads(out1)
         assert verified["eps"] == 0.01  # sidecar metadata supplied eps and field
         assert verified["defects"]["curvature_defect"] < 1e-8
+
+    def test_verify_degenerate_loop_exits_4_with_valid_json(self, capsys, tmp_path):
+        path = tmp_path / "flat.csv"
+        save_loop(path, Loop(np.tile([0.0, 1.0], (64, 1))), {"k": 2.0})
+        code, out, err = run(capsys, "verify", "--in", str(path), "--k", "2")
+        assert code == 4
+        report = json.loads(out, parse_constant=reject_constant)
+        defects = report["defects"]
+        assert defects["residual_sup"] is None and defects["speed_defect"] is None
+        assert defects["curvature_defect"] is None and defects["killing"] == [None] * 3
+        assert not defects["embedded"]
+        assert len(err.strip().splitlines()) == 1 and "degenerate" in err
+
+    @pytest.fixture
+    def loop_file(self, tmp_path):
+        path = tmp_path / "loop.csv"
+        save_loop(path, reference_loop(2.0, 64), {"k": 2.0, "eps": 0.0})
+        return path
+
+    def _verify_exits_3(self, capsys, path):
+        code, out, err = run(capsys, "verify", "--in", str(path), "--k", "2")
+        assert code == 3 and out == ""
+        assert "config error" in err
+        return err
+
+    @pytest.mark.parametrize("rows", [32, 39])
+    def test_verify_rejects_truncated_loop(self, capsys, loop_file, rows):
+        lines = loop_file.read_text().splitlines(keepends=True)
+        loop_file.write_text("".join(lines[: 1 + rows]))
+        assert "sidecar says N = 64" in self._verify_exits_3(capsys, loop_file)
+
+    def test_verify_rejects_bad_j_column(self, capsys, loop_file):
+        lines = loop_file.read_text().splitlines(keepends=True)
+        lines[5] = lines[4]  # j = 3 twice, j = 4 missing
+        loop_file.write_text("".join(lines))
+        assert "0..63" in self._verify_exits_3(capsys, loop_file)
+
+    def test_verify_rejects_malformed_csv(self, capsys, loop_file):
+        loop_file.write_text(loop_file.read_text().replace("\n3,", "\n3,x,", 1))
+        self._verify_exits_3(capsys, loop_file)
+
+    def test_verify_rejects_missing_file(self, capsys, tmp_path):
+        self._verify_exits_3(capsys, tmp_path / "absent.csv")
+
+    def test_verify_rejects_unparsable_sidecar(self, capsys, loop_file):
+        loop_file.with_suffix(".json").write_text('{"k": 2.0, "N": ')
+        self._verify_exits_3(capsys, loop_file)
+
+    def test_verify_rejects_loop_below_the_axis(self, capsys, tmp_path):
+        path = tmp_path / "low.csv"
+        save_loop(path, reference_loop(2.0, 64) - [0.0, 1.0], {"k": 2.0})
+        assert "half-plane" in self._verify_exits_3(capsys, path)
 
     def test_solve_blocked_by_bounded_total_curvature(self, capsys, tmp_path):
         # k + eps*K stays inside [-1, 1] on the sampled box: refuse before Newton
@@ -271,4 +327,12 @@ class TestConfigHandling:
     def test_unknown_flag_exits_3(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["melnikov", "--bogus"])
+        assert info.value.code == 3
+
+    @pytest.mark.parametrize("command", [("solve",), ("melnikov",), ("euclid", "melnikov")])
+    def test_threads_flag_is_gone(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)  # a run that accepted the flag would write here
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--k", "2", "--field", QUADRATIC, "--box", "-0.6,0.6,1.2,2.8",
+                  "--threads", "4"])
         assert info.value.code == 3

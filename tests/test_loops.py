@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyploop import loops
 from hyploop.errors import DegenerateLoop
-from hyploop.fields import parse_field
+from hyploop.fields import RegionBox, parse_field
 from hyploop.halfplane import translate
 from hyploop.loops import (
     Loop,
@@ -23,6 +26,7 @@ from hyploop.loops import (
     winding_number,
 )
 from hyploop.melnikov import melnikov_value
+from hyploop.reduction import solve_full
 
 from conftest import band_limited_field, band_limited_loop
 
@@ -247,9 +251,89 @@ class TestVerify:
         assert winding_number(reference_loop(3.0, 64)) == 1
 
     def test_embeddedness_of_figure_eight(self):
-        theta = 2 * np.pi * np.arange(128) / 128
-        u = Loop(np.column_stack((np.sin(2 * theta), 2.0 + np.sin(theta))))
-        assert not is_embedded(u)
+        assert not is_embedded(figure_eight())
+
+
+def crescent(n=128):
+    """Simple loop around an annular sector; its centroid lies in the hole."""
+    theta = 2 * np.pi * np.arange(n) / n
+    r, phi = 1.0 + 0.2 * np.cos(theta), 2.5 * np.sin(theta)
+    return Loop(np.column_stack((r * np.cos(phi), 3.0 + r * np.sin(phi))))
+
+
+def figure_eight(n=128):
+    theta = 2 * np.pi * np.arange(n) / n
+    return Loop(np.column_stack((np.sin(2 * theta), 2.0 + np.sin(theta))))
+
+
+@pytest.fixture
+def all_pairs_calls(monkeypatch):
+    """Count the calls that reach the O(M**2) fallback of ``is_embedded``."""
+    calls = []
+    reference = loops._all_pairs_simple
+
+    def counted(pts):
+        calls.append(len(pts))
+        return reference(pts)
+
+    monkeypatch.setattr(loops, "_all_pairs_simple", counted)
+    return calls
+
+
+class TestEmbeddedFastPath:
+    @pytest.mark.parametrize("n", [64, 256, 1024])
+    @pytest.mark.parametrize("k", [1.2, 2.0, 8.0])
+    def test_reference_loops_take_fast_path(self, all_pairs_calls, k, n):
+        u = reference_loop(k, n)
+        assert is_embedded(u)
+        assert all_pairs_calls == []
+        if n <= 256:  # the reference costs seconds at N = 1024
+            assert loops._all_pairs_simple(u.refined(4).samples)
+
+    def test_translated_and_reversed_take_fast_path(self, all_pairs_calls):
+        u = reference_loop(2.0, 256)
+        moved = translate((3.0, 0.5), u)
+        reversed_ = Loop(u.samples[::-1])
+        assert is_embedded(moved) and is_embedded(reversed_)
+        assert all_pairs_calls == []
+        for v in (moved, reversed_):
+            assert loops._all_pairs_simple(v.refined(4).samples)
+
+    @pytest.mark.parametrize(
+        "make,expect",
+        [(crescent, True), (figure_eight, False), (lambda: double_cover(2.0), False)],
+        ids=["crescent", "figure-eight", "double-cover"],
+    )
+    def test_other_loops_fall_back(self, all_pairs_calls, make, expect):
+        u = make()
+        assert is_embedded(u) is expect
+        assert all_pairs_calls == [4 * u.n]
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        amp=st.floats(0.0, 1.5),
+        coeffs=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+    )
+    def test_agrees_with_all_pairs(self, amp, coeffs):
+        # the unit circle plus four random modes per component; as amp grows
+        # the loops go from star-shaped to simple but not star-shaped about
+        # their centroid to self-crossing (about 1/3, 1/7 and 1/2 of draws)
+        theta = 2 * np.pi * np.arange(32) / 32
+        u = np.column_stack((np.cos(theta), np.sin(theta)))
+        for i, c in enumerate(coeffs):
+            m = i // 4 + 1
+            wave = np.cos(m * theta) if i % 2 else np.sin(m * theta)
+            u[:, (i // 2) % 2] += amp * c / m * wave
+        loop = Loop(u)
+        assert is_embedded(loop) == loops._all_pairs_simple(loop.refined(4).samples)
+
+    def test_solve_never_reaches_all_pairs(self, monkeypatch):
+        def forbidden(pts):
+            raise AssertionError("all-pairs fallback reached")
+
+        monkeypatch.setattr(loops, "_all_pairs_simple", forbidden)
+        report = solve_full(0.01, 2.0, QUADRATIC, RegionBox(-0.6, 0.6, 1.2, 2.8), 12, 256)
+        assert report.embedded and report.defects.embedded
 
 
 class TestAdaptiveQuadrature:
@@ -316,6 +400,19 @@ class TestLoopIO:
         save_loop(path, u, {"k": 2.0})
         sidecar = json.loads((tmp_path / "loop.json").read_text())
         assert sidecar["N"] == 64
+
+    def test_truncation_and_bad_j_rejected(self, rng, tmp_path):
+        path = tmp_path / "loop.csv"
+        save_loop(path, band_limited_loop(rng, n=64), {"k": 2.0})
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:33]))
+        with pytest.raises(ValueError, match="sidecar says N = 64"):
+            load_loop(path)
+        path.write_text("".join(lines[:1] + lines[2:] + lines[1:2]))  # reordered rows are fine
+        assert load_loop(path)[0].n == 64
+        path.write_text("".join(lines[:1] + lines[2:] + lines[2:3]))  # j = 1 twice, no j = 0
+        with pytest.raises(ValueError, match="0..63"):
+            load_loop(path)
 
     def test_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
