@@ -140,13 +140,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _parse_floats(text: str, count: int, what: str) -> list[float]:
+def _parse_floats(value, count: int, what: str) -> list[float]:
+    """Finite floats from comma-separated text, a sequence or a single number."""
     try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError:
-        raise ConfigError(f"{what} must be comma-separated numbers, got {text!r}")
+        items = value.split(",") if isinstance(value, str) else np.atleast_1d(value).tolist()
+        values = [float(v) for v in items]
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be comma-separated numbers, got {value!r}")
     if count and len(values) != count:
         raise ConfigError(f"{what} needs {count} comma-separated numbers, got {len(values)}")
+    if not all(np.isfinite(values)):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
     return values
 
 
@@ -167,7 +171,7 @@ def _build_config(args, euclid: bool = False) -> RunConfig:
 
     if "k" not in merged:
         raise ConfigError("--k is required")
-    k = float(merged["k"])
+    k = _parse_floats(merged["k"], 1, "--k")[0]
     if euclid:
         if not k > 0:
             raise ConfigError(f"euclid commands need k > 0, got {k}")
@@ -175,23 +179,18 @@ def _build_config(args, euclid: bool = False) -> RunConfig:
         raise ConfigError(f"half-plane commands need k > 1, got {k}")
 
     box = merged.get("box")
-    if isinstance(box, str):
-        box = _parse_floats(box, 4, "--box")
     if box is not None:
         try:
-            box_cls = PlaneBox if euclid else RegionBox
-            box = box_cls(float(box[0]), float(box[1]), float(box[2]), float(box[3]))
+            box = (PlaneBox if euclid else RegionBox)(*_parse_floats(box, 4, "--box"))
         except ValueError as exc:
             raise ConfigError(str(exc))
 
     z = merged.get("z")
-    if isinstance(z, str):
+    if z is not None:
         z = tuple(_parse_floats(z, 2, "--z"))
-    elif z is not None:
-        z = tuple(float(v) for v in z)
 
     eps_list = merged.get("eps_list")
-    if isinstance(eps_list, str):
+    if eps_list is not None:
         eps_list = _parse_floats(eps_list, 0, "--eps-list")
 
     n_samples = int(merged.get("n_samples", 256))
@@ -207,7 +206,7 @@ def _build_config(args, euclid: bool = False) -> RunConfig:
 
     return RunConfig(
         k=k,
-        eps=float(merged.get("eps", 0.0)),
+        eps=_parse_floats(merged.get("eps", 0.0), 1, "--eps")[0],
         eps_given="eps" in merged,
         eps_list=eps_list,
         field=merged.get("field"),

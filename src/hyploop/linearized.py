@@ -189,25 +189,32 @@ def _make_block(n_mode: int, matrix: np.ndarray) -> ModeBlock:
 
 @lru_cache(maxsize=16)
 def mode_blocks(k: float, n: int) -> tuple[ModeBlock, ...]:
-    """All frequency blocks for an N-sample discretization (modes 0..N/2)."""
+    """All frequency blocks for an N-sample discretization (modes 0..N/2).
+
+    The 4x4 blocks of modes 1..N/2 share one stacked SVD; each is processed
+    as ``_make_block`` would.
+    """
     rk = curvature_radius(k)
-    c = k * rk
+    m = np.arange(1, n // 2 + 1, dtype=float)
+    cm = k * rk * m
+    cm[-1] = 0.0
+    mats = np.zeros((m.size, 4, 4))
+    mats[:, 0, 0] = mats[:, 1, 1] = m**2
+    mats[:, 2, 2] = mats[:, 3, 3] = m**2 + rk**2
+    mats[:, 1, 2] = mats[:, 2, 1] = cm
+    mats[:, 0, 3] = mats[:, 3, 0] = -cm
+    u, s, vt = np.linalg.svd(mats)
+    keep = s > ZERO_SV_RTOL * s.max(axis=1, keepdims=True)
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    pinv = (vt.transpose(0, 2, 1) * inv[:, None, :]) @ u.transpose(0, 2, 1)
+    for arr in (mats, s, pinv):
+        arr.flags.writeable = False
     blocks = [_make_block(0, np.array([[0.0, 0.0], [0.0, rk**2 * (1.0 - k**2)]]))]
-    for m in range(1, n // 2 + 1):
-        cm = 0.0 if m == n // 2 else c * m
-        blocks.append(
-            _make_block(
-                m,
-                np.array(
-                    [
-                        [m**2, 0.0, 0.0, -cm],
-                        [0.0, m**2, cm, 0.0],
-                        [0.0, cm, m**2 + rk**2, 0.0],
-                        [-cm, 0.0, 0.0, m**2 + rk**2],
-                    ]
-                ),
-            )
-        )
+    for i in range(m.size):
+        null = vt[i][~keep[i]]
+        null.flags.writeable = False
+        blocks.append(ModeBlock(i + 1, mats[i], s[i], pinv[i], null))
     return tuple(blocks)
 
 
@@ -247,7 +254,6 @@ def solve_frame_operator(f: np.ndarray, k: float, orth_tol: float = 1e-9) -> np.
     kernel-orthogonal one.
     """
     f = np.asarray(f, dtype=float)
-    n = f.shape[0]
     coeffs, proj = _project_kernel(f, k)
     fnorm = np.sqrt(dot_mean(f, f))
     if np.sqrt(dot_mean(proj, proj)) > orth_tol * max(1.0, fnorm):
@@ -256,17 +262,21 @@ def solve_frame_operator(f: np.ndarray, k: float, orth_tol: float = 1e-9) -> np.
             f"(coefficients on [e1, g, g'] = {coeffs})",
             projection=coeffs,
         )
+    return _solve_modes(f, k)
+
+
+def _solve_modes(f: np.ndarray, k: float) -> np.ndarray:
+    """Per-frequency pseudo-inverse solve of B g = f, without the kernel check.
+
+    A mode's rfft row (f1, f2), viewed as floats, is its block vector.
+    """
+    n = f.shape[0]
     pinv0, pinv_stack = _pinv_stacks(k, n)
-    f1 = np.fft.rfft(f[:, 0])
-    f2 = np.fft.rfft(f[:, 1])
-    rhs = np.stack((f1[1:].real, f1[1:].imag, f2[1:].real, f2[1:].imag), axis=1)
-    sol = np.einsum("mij,mj->mi", pinv_stack, rhs)
-    g1 = np.empty_like(f1)
-    g2 = np.empty_like(f2)
-    g1[0], g2[0] = pinv0 @ np.array([f1[0].real, f2[0].real])
-    g1[1:] = sol[:, 0] + 1j * sol[:, 1]
-    g2[1:] = sol[:, 2] + 1j * sol[:, 3]
-    return np.column_stack((np.fft.irfft(g1, n=n), np.fft.irfft(g2, n=n)))
+    c = np.fft.rfft(f, axis=0)
+    g = np.empty_like(c)
+    g[0] = pinv0 @ c[0].real
+    g[1:] = np.einsum("mij,mj->mi", pinv_stack, c[1:].view(float)).view(complex)
+    return np.fft.irfft(g, n=n, axis=0)
 
 
 @dataclass(frozen=True)
@@ -369,9 +379,23 @@ def linearization_fd(z, phi: np.ndarray, k: float, h: float = 1e-5) -> np.ndarra
 
 
 @lru_cache(maxsize=16)
-def _tangent_gram(k: float, n: int) -> np.ndarray:
-    t = tangent_fields(k, n)
-    return np.array([[dot_mean(a, b) for b in t] for a in t])
+def _frozen_data(k: float, n: int):
+    """Read-only per-(k, N) data of ``frozen_solve``.
+
+    ``tang``: the tangent fields as (3, 2N); ``ginv``: their inverse Gram
+    matrix; ``proj @ f.ravel()``: the coefficients of f's projection on
+    them.  ``weights[c]`` takes component c of f to ``to_frame(u2**2 f)``.
+    """
+    base, om_p, i_om_p = _frame(k, n)
+    tang = tangent_fields(k, n).reshape(3, 2 * n)
+    ginv = np.linalg.inv(tang @ tang.T / n)
+    proj = ginv @ tang / n
+    u2 = base.samples[:, 1]
+    scale = (u2**2 / (curvature_radius(k) * u2) ** 2)[:, None]
+    weights = np.stack([np.column_stack((om_p[:, c], i_om_p[:, c])) * scale for c in (0, 1)])
+    for arr in (tang, ginv, proj, weights):
+        arr.flags.writeable = False
+    return tang, ginv, proj, weights
 
 
 def frozen_solve(z, k: float, rhs: np.ndarray, cons: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
@@ -387,22 +411,16 @@ def frozen_solve(z, k: float, rhs: np.ndarray, cons: np.ndarray) -> tuple[np.nda
     constraints, and the orthogonal part comes from the per-frequency
     solve conjugated through the frame.
     """
-    zp = as_point(z)
+    z2 = as_point(z).z2
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
-    base, _, _ = _frame(k, n)
-    tang = tangent_fields(k, n)
-    gram = _tangent_gram(k, n)
+    tang, ginv, proj, weights = _frozen_data(k, n)
     # multipliers: rhs + a*T0 + p1*T1 + p2*T2 must be tangent-orthogonal
-    mults = np.linalg.solve(gram, -np.array([dot_mean(rhs, t) for t in tang]))
-    f = rhs + np.tensordot(mults, tang, axes=1)
-    # tangential part of phi from the constraints
-    coeffs = np.linalg.solve(gram, np.asarray(cons, dtype=float))
-    phi_tan = np.tensordot(coeffs, tang, axes=1)
+    mults = -(proj @ rhs.ravel())
+    f = rhs + (mults @ tang).reshape(n, 2)
     # orthogonal part via the frame operator
-    frame_rhs = zp.z2**2 * to_frame(base.samples[:, 1:2] ** 2 * f, k, n)
-    g = solve_frame_operator(frame_rhs, k, orth_tol=np.inf)
+    g = _solve_modes(z2**2 * (f[:, 0:1] * weights[0] + f[:, 1:2] * weights[1]), k)
     phi_perp = from_frame(g, k, n)
-    tcoef = np.linalg.solve(gram, np.array([dot_mean(phi_perp, t) for t in tang]))
-    phi_perp = phi_perp - np.tensordot(tcoef, tang, axes=1)
-    return phi_tan + phi_perp, float(mults[0]), mults[1:]
+    # tangential part of phi from the constraints, less that of phi_perp
+    coeffs = ginv @ np.asarray(cons, dtype=float) - proj @ phi_perp.ravel()
+    return phi_perp + (coeffs @ tang).reshape(n, 2), float(mults[0]), mults[1:]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -66,25 +67,20 @@ class Loop:
     def coeffs(self) -> np.ndarray:
         """rfft coefficients per component, shape (N//2 + 1, 2)."""
         if self._coeffs is None:
-            self._coeffs = np.stack(
-                (np.fft.rfft(self.samples[:, 0]), np.fft.rfft(self.samples[:, 1])), axis=1
-            )
+            self._coeffs = np.fft.rfft(self.samples, axis=0)
         return self._coeffs
 
     def deriv(self, order: int = 1) -> np.ndarray:
-        """Exact derivative of the trigonometric interpolant, shape (N, 2)."""
+        """Exact derivative of the trigonometric interpolant, shape (N, 2).
+
+        Orders 1 and 2 are filled together, by one inverse transform.
+        """
         if order not in self._derivs:
-            freqs = np.fft.rfftfreq(self.n, d=1.0 / self.n)
-            mult = (1j * freqs) ** order
-            if order % 2:
-                mult = mult.copy()
-                mult[-1] = 0.0  # Nyquist has no consistent odd derivative
-            c = self.coeffs * mult[:, None]
-            out = np.column_stack(
-                (np.fft.irfft(c[:, 0], n=self.n), np.fft.irfft(c[:, 1], n=self.n))
-            )
+            orders = (1, 2) if order in (1, 2) else (order,)
+            mults = _wavenumber_powers(self.n, orders)
+            out = np.fft.irfft(self.coeffs * mults[:, :, None], n=self.n, axis=1)
             out.flags.writeable = False
-            self._derivs[order] = out
+            self._derivs.update(zip(orders, out))
         return self._derivs[order]
 
     def rotated(self, alpha: float) -> "Loop":
@@ -128,13 +124,23 @@ class Loop:
         return Loop(self.samples - other)
 
 
+@lru_cache(maxsize=32)
+def _wavenumber_powers(n: int, orders: tuple[int, ...]) -> np.ndarray:
+    """Rows (i*m)**p over the rfft modes m, one per order p (read-only)."""
+    freqs = np.fft.rfftfreq(n, d=1.0 / n)
+    mults = np.stack([(1j * freqs) ** p for p in orders])
+    mults[np.array(orders) % 2 == 1, -1] = 0.0  # Nyquist has no consistent odd derivative
+    mults.flags.writeable = False
+    return mults
+
+
 def require_upper(u: Loop):
     if not u.is_upper:
         raise ValueError("loop leaves the half-plane (a sample has u2 <= 0)")
 
 
 def _require_nonconstant(u: Loop):
-    spread = np.ptp(u.samples, axis=0).max()
+    spread = (u.samples.max(axis=0) - u.samples.min(axis=0)).max()
     scale = max(1.0, np.abs(u.samples).max())
     if spread < 1e-14 * scale:
         raise DegenerateLoop("loop is numerically constant")
@@ -187,8 +193,11 @@ def loop_length(u: Loop) -> float:
     """Hyperbolic length functional L(u) = sqrt(mean of u2**-2 |u'|^2)."""
     require_upper(u)
     _require_nonconstant(u)
-    up = u.deriv(1)
-    return float(np.sqrt(((up**2).sum(axis=1) / u.samples[:, 1] ** 2).mean()))
+    return _length(u.deriv(1), u.samples[:, 1])
+
+
+def _length(up: np.ndarray, u2: np.ndarray) -> float:
+    return float(np.sqrt(((up**2).sum(axis=1) / u2**2).mean()))
 
 
 def area_const(u: Loop) -> float:
@@ -267,7 +276,7 @@ def residual(u: Loop, k: float, eps: float = 0.0, field=None) -> np.ndarray:
     _require_nonconstant(u)
     up, upp = u.deriv(1), u.deriv(2)
     u2 = u.samples[:, 1]
-    length = loop_length(u)
+    length = _length(up, u2)
     kappa = np.full(u.n, float(k))
     if eps != 0.0:
         if field is None:

@@ -22,10 +22,11 @@ runs through the same code path with flat-plane callbacks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import NewtonDiverged, NotEmbedded, StepTooLarge
+from .errors import HyploopError, NewtonDiverged, NotEmbedded, StepTooLarge
 from .fields import as_field
 from .halfplane import as_point, translate
 from .linearized import frozen_solve, tangent_fields
@@ -55,6 +56,16 @@ Z_STEP = 1e-5   # step for the outer finite-difference Jacobian in z
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _reference_data(k: float, n: int):
+    """Reference loop, read-only tangent fields, mean |u|^2 and reference energy."""
+    reference = reference_loop(k, n)
+    tangent = tangent_fields(k, n)
+    tangent.flags.writeable = False
+    mean_sq = float((reference.samples**2).sum(axis=1).mean())
+    return reference, tangent, mean_sq, energy(reference, k).total
+
+
 class HyperbolicProblem:
     """Half-plane callbacks consumed by the generic reduction driver."""
 
@@ -64,10 +75,8 @@ class HyperbolicProblem:
         self.k = float(k)
         self.field = as_field(field) if field is not None else None
         self.n = int(n)
-        self.reference = reference_loop(k, n)
-        self.tangent = tangent_fields(k, n)
-        self.mean_sq = float((self.reference.samples**2).sum(axis=1).mean())
-        self.reference_energy = energy(self.reference, k).total
+        self.reference, self.tangent, self.mean_sq, self.reference_energy = (
+            _reference_data(self.k, self.n))
 
     def base_loop(self, z) -> Loop:
         return translate(as_point(z), self.reference)
@@ -175,7 +184,7 @@ def reduce_generic(problem, eps: float, z, tol: float = REDUCE_TOL,
     def evaluate(eta_, t_, theta_):
         u = Loop(base.samples + eta_)
         if not problem.is_admissible(u.samples):
-            raise ValueError("iterate left the admissible set")
+            raise NewtonDiverged("correction iterate left the admissible set (u2 below the guard)")
         res = problem.residual(u, eps)
         top = res - t_ * tang[0] - theta_[0] * tang[1] - theta_[1] * tang[2]
         cons = np.array([dot_mean(eta_, tg) for tg in tang])
@@ -202,6 +211,8 @@ def reduce_generic(problem, eps: float, z, tol: float = REDUCE_TOL,
                 if problem.is_admissible(probe):
                     break
                 s *= 0.5
+            else:
+                raise NewtonDiverged("finite-difference probe left the admissible set")
             dres = (problem.residual(Loop(probe), eps) - res) / s
             dtop = dres - a * tang[0] - p[0] * tang[1] - p[1] * tang[2]
             dcons = np.array([dot_mean(phi, tg) for tg in tang])
@@ -450,7 +461,7 @@ def continue_generic(problem, region, eps_targets, grid: int = 16) -> Continuati
             result.reports.append(report)
             result.eps_bar = max(result.eps_bar, abs(eps))
             prev_report = report
-        except Exception as exc:  # record and truncate the chain
+        except HyploopError as exc:  # record and truncate the chain
             result.failure = (float(eps), f"{type(exc).__name__}: {exc}")
             break
     return result

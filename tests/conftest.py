@@ -32,6 +32,17 @@ def band_limited_field(rng, n=256, modes=6, amp=1.0):
     return amp * phi
 
 
+def count_ffts(monkeypatch) -> dict:
+    """Count calls of np.fft.rfft and np.fft.irfft from here on."""
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -248,6 +248,16 @@ class TestSolveVerifyRoundTrip:
         assert report["residual_sup"] < 1e-11
         assert len(report["eta_samples"]) == 128
 
+    def test_reduce_below_the_guard_exits_4(self, capsys):
+        code, out, err = run(
+            capsys, "reduce", "--k", "2", "--eps", "0.01", "--field", QUADRATIC,
+            "--z", "0,1e-7",
+        )
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("hyploop: numerical failure: NewtonDiverged:")
+        assert "admissible set" in err
+
     def test_continue_command(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "continue", "--k", "2", "--field", QUADRATIC,
@@ -323,6 +333,40 @@ class TestConfigHandling:
     def test_config_errors_exit_3(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 3
+
+    BASE_SETTINGS = {
+        "reduce": {"k": 2.0, "eps": 0.01, "field": QUADRATIC, "z": [0.0, 2.0]},
+        "solve": {"k": 2.0, "eps": 0.01, "field": QUADRATIC, "grid": 6,
+                  "box": [-0.6, 0.6, 1.2, 2.8]},
+        "continue": {"k": 2.0, "field": QUADRATIC, "grid": 6,
+                     "box": [-0.6, 0.6, 1.2, 2.8], "eps_list": [0.001, 0.01]},
+    }
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("key,command", [
+        ("k", "reduce"), ("eps", "reduce"), ("z", "reduce"), ("box", "solve"),
+        ("eps_list", "continue"),
+    ])
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_non_finite_numbers_exit_3(self, capsys, tmp_path, monkeypatch,
+                                       source, key, command, value):
+        monkeypatch.chdir(tmp_path)  # a run that went ahead would write here
+        settings = dict(self.BASE_SETTINGS[command])
+        old = settings[key]
+        settings[key] = [*old[:-1], value] if isinstance(old, list) else value
+        if source == "flags":
+            argv = [
+                f"--{name.replace('_', '-')}="
+                + (",".join(map(repr, val)) if isinstance(val, list) else str(val))
+                for name, val in settings.items()
+            ]
+        else:  # json writes NaN, Infinity and -Infinity, and reads them back
+            (tmp_path / "run.json").write_text(json.dumps(settings))
+            argv = ["--config", "run.json"]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith(f"hyploop: config error: --{key.replace('_', '-')} must be finite")
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["run.json"] if source == "config" else [])
 
     def test_unknown_flag_exits_3(self, capsys):
         with pytest.raises(SystemExit) as info:

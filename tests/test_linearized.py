@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from hyploop.errors import NotOrthogonal
-from hyploop.halfplane import rot90
+from hyploop.halfplane import as_point, rot90
 from hyploop.linearized import (
+    _frame,
+    _make_block,
     _project_kernel,
     apply_frame_operator,
     apply_linearization,
@@ -19,7 +21,7 @@ from hyploop.linearized import (
 )
 from hyploop.loops import curvature_radius, dot_mean, reference_loop
 
-from conftest import band_limited_field
+from conftest import band_limited_field, count_ffts
 
 K_VALUES = (1.1, 2.0, 5.0, 50.0)
 N = 256
@@ -118,6 +120,18 @@ class TestModeBlocks:
         zeros = {b.n: b.zero_count for b in blocks if b.zero_count}
         assert zeros == {0: 1, 1: 2}
 
+    @pytest.mark.parametrize("k", K_VALUES + (1.01, 1.2, 8.0))
+    @pytest.mark.parametrize("n", [4, 16, 256, 1024])
+    def test_stacked_svd_matches_per_block(self, k, n):
+        for block in mode_blocks(k, n):
+            ref = _make_block(block.n, block.matrix.copy())
+            assert np.array_equal(block.matrix, ref.matrix)
+            assert np.array_equal(block.sigmas, ref.sigmas)
+            assert np.array_equal(block.null, ref.null)
+            assert np.abs(block.pinv - ref.pinv).max() <= 1e-15 * np.abs(ref.pinv).max()
+            for arr in (block.matrix, block.sigmas, block.pinv, block.null):
+                assert not arr.flags.writeable
+
     def test_blocks_symmetric(self):
         for b in mode_blocks(2.0, 64):
             assert np.abs(b.matrix - b.matrix.T).max() == 0.0
@@ -201,3 +215,47 @@ class TestFrozenSolve:
         assert np.abs(lhs1 - rhs).max() < 1e-8
         lhs2 = np.array([dot_mean(phi, t) for t in tang])
         assert np.abs(lhs2 - cons).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    @pytest.mark.parametrize("z2", [0.3, 1.0, 4.0])
+    def test_matches_frame_solve_chain(self, n, z2, rng):
+        # calls for two k alternate, so data cached under a wrong key would show
+        for ks in ((1.2, 8.0), (2.0, 1.2), (8.0, 2.0)):
+            for k in ks:
+                rhs = band_limited_field(rng, n=n, modes=min(6, n // 2 - 1))
+                cons = rng.normal(size=3)
+                z = (rng.normal(), z2)
+                phi, a, p = frozen_solve(z, k, rhs, cons)
+                phi0, a0, p0 = frozen_solve_oracle(z, k, rhs, cons)
+                assert np.abs(phi - phi0).max() <= 1e-13 * np.abs(phi0).max()
+                mults, mults0 = np.array([a, *p]), np.array([a0, *p0])
+                assert np.abs(mults - mults0).max() <= 1e-13 * np.abs(mults0).max()
+
+    def test_one_fft_each_way(self, monkeypatch, rng):
+        k = 2.0
+        rhs = band_limited_field(rng, n=N)
+        frozen_solve((0.0, 1.5), k, rhs, np.zeros(3))  # fill the caches
+        calls = count_ffts(monkeypatch)
+        frozen_solve((0.3, 1.5), k, rhs, rng.normal(size=3))
+        assert calls == {"rfft": 1, "irfft": 1}
+
+
+def frozen_solve_oracle(z, k, rhs, cons):
+    """The bordered solve written out with the public frame operations.
+
+    Pairings by ``dot_mean``, Gram solves per right-hand side, and the
+    to_frame -> solve_frame_operator -> from_frame chain.
+    """
+    zp = as_point(z)
+    n = rhs.shape[0]
+    base, _, _ = _frame(k, n)
+    tang = tangent_fields(k, n)
+    gram = np.array([[dot_mean(a, b) for b in tang] for a in tang])
+    mults = np.linalg.solve(gram, -np.array([dot_mean(rhs, t) for t in tang]))
+    f = rhs + np.tensordot(mults, tang, axes=1)
+    phi_tan = np.tensordot(np.linalg.solve(gram, cons), tang, axes=1)
+    frame_rhs = zp.z2**2 * to_frame(base.samples[:, 1:2] ** 2 * f, k, n)
+    phi_perp = from_frame(solve_frame_operator(frame_rhs, k, orth_tol=np.inf), k, n)
+    tcoef = np.linalg.solve(gram, np.array([dot_mean(phi_perp, t) for t in tang]))
+    phi_perp = phi_perp - np.tensordot(tcoef, tang, axes=1)
+    return phi_tan + phi_perp, float(mults[0]), mults[1:]

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from hyploop import loops
 from hyploop.errors import DegenerateLoop
-from hyploop.fields import RegionBox, parse_field
-from hyploop.halfplane import translate
+from hyploop.fields import RegionBox, eval_field, parse_field
+from hyploop.halfplane import christoffel, rot90, translate
 from hyploop.loops import (
     Loop,
     area_const,
@@ -28,9 +28,32 @@ from hyploop.loops import (
 from hyploop.melnikov import melnikov_value
 from hyploop.reduction import solve_full
 
-from conftest import band_limited_field, band_limited_loop
+from conftest import band_limited_field, band_limited_loop, count_ffts
 
 QUADRATIC = parse_field("z1^2 + (z2-2)^2")
+
+
+def per_column_deriv(samples, order):
+    """Spectral derivative one component at a time: the reference formula."""
+    n = samples.shape[0]
+    coeffs = np.stack((np.fft.rfft(samples[:, 0]), np.fft.rfft(samples[:, 1])), axis=1)
+    mult = (1j * np.fft.rfftfreq(n, d=1.0 / n)) ** order
+    if order % 2:
+        mult[-1] = 0.0
+    c = coeffs * mult[:, None]
+    return np.column_stack((np.fft.irfft(c[:, 0], n=n), np.fft.irfft(c[:, 1], n=n)))
+
+
+def per_column_residual(u, k, eps, field):
+    """The curvature residual from per-component derivatives, term by term."""
+    up, upp = per_column_deriv(u.samples, 1), per_column_deriv(u.samples, 2)
+    u2 = u.samples[:, 1]
+    length = float(np.sqrt(((up**2).sum(axis=1) / u2**2).mean()))
+    kappa = np.full(u.n, float(k))
+    if eps != 0.0:
+        kappa = kappa + eps * eval_field(field, u.samples[:, 0], u2)
+    core = -upp + christoffel(up) / u2[:, None] + length * kappa[:, None] * rot90(up)
+    return core / u2[:, None] ** 2
 
 
 def double_cover(k, n=256):
@@ -71,6 +94,15 @@ class TestLoopContainer:
         loop = Loop(u)
         assert np.abs(loop.deriv(1) - exact1).max() < 1e-13
         assert np.abs(loop.deriv(2) - exact2).max() < 5e-12
+
+    @pytest.mark.parametrize("n", [4, 16, 256, 1024])
+    def test_batched_derivatives_are_the_per_column_ones(self, n, rng):
+        samples = rng.normal(size=(n, 2))
+        u = Loop(samples)
+        assert np.array_equal(u.coeffs[:, 1], np.fft.rfft(samples[:, 1]))
+        for order in (2, 1, 3):
+            assert np.array_equal(u.deriv(order), per_column_deriv(samples, order))
+            assert not u.deriv(order).flags.writeable
 
     def test_rotation_on_grid_is_index_shift(self, rng):
         u = band_limited_loop(rng, n=64)
@@ -207,6 +239,26 @@ class TestResidual:
             j = residual(u, 2.0)
             assert abs(j[:, 0].mean()) < 1e-12
             assert abs(dot_mean(j, u.samples)) < 1e-12
+
+    @pytest.mark.parametrize("n", [16, 256, 1024])
+    def test_bit_identical_to_per_column_formula(self, n, rng):
+        for _ in range(3):
+            u = band_limited_loop(rng, n=n)
+            for eps in (0.0, 0.3):
+                expect = per_column_residual(u, 2.0, eps, QUADRATIC)
+                assert np.array_equal(residual(Loop(u.samples), 2.0, eps, QUADRATIC), expect)
+
+    def test_checks_keep_their_messages(self):
+        with pytest.raises(ValueError, match="leaves the half-plane"):
+            residual(reference_loop(2.0, 64) - [0.0, 1.0], 2.0)
+        with pytest.raises(DegenerateLoop, match="numerically constant"):
+            residual(Loop(np.tile([0.0, 1.0], (64, 1))), 2.0)
+
+    def test_one_fft_each_way_on_a_fresh_loop(self, monkeypatch, rng):
+        u = Loop(band_limited_loop(rng).samples)
+        calls = count_ffts(monkeypatch)
+        residual(u, 2.0, 0.3, QUADRATIC)
+        assert calls == {"rfft": 1, "irfft": 1}
 
     def test_differential_consistency(self, rng):
         # (E(u+h phi) - E(u-h phi)) / 2h -> <residual, phi> / L with rate h^2

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from hyploop import reduction
+from hyploop.errors import NewtonDiverged
 from hyploop.fields import RegionBox, parse_field
 from hyploop.halfplane import translate
 from hyploop.linearized import tangent_fields
@@ -71,6 +73,18 @@ class TestReduceAt:
         with pytest.raises(Exception) as info:
             reduce_at(50.0, (0.0, 2.0), K, QUADRATIC)
         assert info.type.__name__ in ("NewtonDiverged", "StepTooLarge")
+
+    def test_center_below_the_guard_diverges(self):
+        with pytest.raises(NewtonDiverged, match="admissible set"):
+            reduce_at(0.01, (0.0, 1e-7), K, QUADRATIC)
+
+    def test_probe_outside_the_guard_diverges(self, monkeypatch):
+        # the starting iterate is admissible; every finite-difference probe is not
+        problem = reduction.HyperbolicProblem(K, QUADRATIC, 64)
+        checks = iter([True])
+        monkeypatch.setattr(problem, "is_admissible", lambda samples: next(checks, False))
+        with pytest.raises(NewtonDiverged, match="probe left the admissible set"):
+            reduction.reduce_generic(problem, 0.01, (0.0, 2.0))
 
 
 class TestReducedFunction:
@@ -204,6 +218,27 @@ class TestContinuation:
         assert result.eps_bar == 0.01
         assert result.failure is not None
         assert result.failure[0] == 60.0
+
+    def test_numerical_failure_is_recorded(self, monkeypatch):
+        solve = reduction.solve_generic
+
+        def failing(problem, eps, *args, **kwargs):
+            if eps > 0.005:
+                raise NewtonDiverged("stagnated")
+            return solve(problem, eps, *args, **kwargs)
+
+        monkeypatch.setattr(reduction, "solve_generic", failing)
+        result = continue_eps(K, QUADRATIC, BOX, [0.001, 0.01], grid=12)
+        assert result.solved_eps == [0.001]
+        assert result.failure == (0.01, "NewtonDiverged: stagnated")
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a solver failure")
+
+        monkeypatch.setattr(reduction, "solve_generic", broken)
+        with pytest.raises(TypeError, match="not a solver failure"):
+            continue_eps(K, QUADRATIC, BOX, [0.001, 0.01], grid=12)
 
     def test_negative_eps_symmetric_convergence(self):
         plus = solve_full(0.01, K, QUADRATIC, BOX, grid=12)
