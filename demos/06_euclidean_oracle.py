@@ -11,26 +11,28 @@ the pipeline logic wherever the hyperbolic answers are harder to see.
 import numpy as np
 
 from hyploop.euclidean import (
+    FLAT,
     find_critical_euclid,
     kernel_basis_euclid,
     apply_linearization_euclid,
-    melnikov_value_euclid,
     reference_circle,
-    residual_euclid,
     solve_full_euclid,
 )
 from hyploop.fields import PlaneBox
+from hyploop.loops import residual
+from hyploop.melnikov import melnikov_value
 
 k = 2.0
 field = "z1^2 + (z2-2)^2"
 
 print("== the reference circle x/k ==")
 circ = reference_circle(k, 64)
-print("residual sup:", np.abs(residual_euclid(circ, k)).max())
+print("residual sup:", np.abs(residual(circ, k, geometry=FLAT)).max())
 
 print("\n== disk averages have closed forms ==")
-print("F for K=1   :", melnikov_value_euclid((0.3, -0.7), k, "1"), " (pi/k^2 =", np.pi / k**2, ")")
-print("F for K=z1  :", melnikov_value_euclid((0.3, -0.7), k, "z1"),
+print("F for K=1   :", melnikov_value((0.3, -0.7), k, "1", geometry=FLAT),
+      " (pi/k^2 =", np.pi / k**2, ")")
+print("F for K=z1  :", melnikov_value((0.3, -0.7), k, "z1", geometry=FLAT),
       " (centroid: pi z1/k^2 =", np.pi * 0.3 / k**2, ")")
 
 print("\n== kernel of the circle linearization ==")

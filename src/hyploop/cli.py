@@ -108,12 +108,6 @@ class RunConfig:
     out: str | None = None
     z: tuple | None = None
     infile: str | None = None
-    tolerances: dict | None = None
-
-    def tol(self, name: str, default: float) -> float:
-        if self.tolerances and name in self.tolerances:
-            return float(self.tolerances[name])
-        return default
 
     def parsed_field(self):
         if self.field is None:
@@ -154,20 +148,36 @@ def _parse_floats(value, count: int, what: str) -> list[float]:
     return values
 
 
+def _parse_int(value, what: str) -> int:
+    """An integer from a flag or a config file; no float, bool or text."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+CONFIG_KEYS = ("k", "eps", "eps_list", "field", "box", "grid", "n_samples", "out", "z", "infile")
+
+
 def _build_config(args, euclid: bool = False) -> RunConfig:
     merged = {}
     if getattr(args, "config", None):
         try:
-            merged.update(json.loads(Path(args.config).read_text()))
-        except (OSError, json.JSONDecodeError) as exc:
+            loaded = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
-    for key in ("k", "eps", "eps_list", "field", "box", "grid",
-                "n_samples", "out", "z"):
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config {args.config!r} must hold a JSON object")
+        unknown = sorted(set(loaded) - set(CONFIG_KEYS))
+        if unknown:
+            raise ConfigError(f"unknown config key(s) {', '.join(unknown)} in {args.config!r}")
+        merged.update(loaded)
+    for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    if getattr(args, "infile", None) is not None:
-        merged["infile"] = args.infile
+    for key in ("field", "out", "infile"):
+        if merged.get(key) is not None and not isinstance(merged[key], str):
+            raise ConfigError(f"config key {key!r} must be text, got {merged[key]!r}")
 
     if "k" not in merged:
         raise ConfigError("--k is required")
@@ -193,16 +203,12 @@ def _build_config(args, euclid: bool = False) -> RunConfig:
     if eps_list is not None:
         eps_list = _parse_floats(eps_list, 0, "--eps-list")
 
-    n_samples = int(merged.get("n_samples", 256))
+    n_samples = _parse_int(merged.get("n_samples", 256), "--n-samples")
     if n_samples < 4 or n_samples & (n_samples - 1):
         raise ConfigError(f"--n-samples must be a power of two >= 4, got {n_samples}")
-    grid = int(merged.get("grid", 32))
+    grid = _parse_int(merged.get("grid", 32), "--grid")
     if grid < 2:
         raise ConfigError(f"--grid must be >= 2, got {grid}")
-
-    tolerances = merged.get("tolerances")
-    if tolerances is not None and not isinstance(tolerances, dict):
-        raise ConfigError("config key 'tolerances' must be an object")
 
     return RunConfig(
         k=k,
@@ -216,7 +222,6 @@ def _build_config(args, euclid: bool = False) -> RunConfig:
         out=merged.get("out"),
         z=z,
         infile=merged.get("infile"),
-        tolerances=tolerances,
     )
 
 
@@ -338,8 +343,7 @@ def _cmd_reduce(cfg: RunConfig) -> int:
     if cfg.z is None:
         raise ConfigError("--z is required for reduce")
     expr = cfg.parsed_field()
-    state = reduce_at(cfg.eps, cfg.z, cfg.k, expr, cfg.n_samples,
-                      tol=cfg.tol("reduce_tol", 1e-11))
+    state = reduce_at(cfg.eps, cfg.z, cfg.k, expr, cfg.n_samples)
     report = {
         "schema": SCHEMA,
         "command": "reduce",
@@ -384,13 +388,9 @@ def _cmd_solve(cfg: RunConfig, euclid: bool = False) -> int:
         }
         emit(report, "blocked: bounded total curvature (sampled)")
         return EXIT_BLOCKED
+    solve = euclidean.solve_full_euclid if euclid else solve_full
     try:
-        if euclid:
-            result = euclidean.solve_full_euclid(
-                cfg.eps, cfg.k, expr, cfg.box, cfg.grid, cfg.n_samples
-            )
-        else:
-            result = solve_full(cfg.eps, cfg.k, expr, cfg.box, cfg.grid, cfg.n_samples)
+        result = solve(cfg.eps, cfg.k, expr, cfg.box, cfg.grid, cfg.n_samples)
     except NoCritical as exc:
         emit({"schema": SCHEMA, "command": command, "note": str(exc)},
              f"no critical point: {exc}")

@@ -1,41 +1,29 @@
-"""Flat-plane counterpart of the half-plane pipeline; the built-in oracle.
+"""The flat plane: its geometry record ``FLAT`` and the built-in oracle.
 
 Everything simplifies: the reference loop is the circle x/k, the metric
 weight is 1 and the connection term vanishes, translations are literal,
-and the disk average is a plain integral of K over D_{1/k}(z).  The
-linearization at a translated circle,
+and the disk average is a plain integral of K over D_{1/k}(z).  The loop
+functionals and the reduction run on ``FLAT``; what stays here checks
+them independently.  The linearization at a translated circle,
 
     phi -> -phi'' + i phi' - k**2 * mean(phi . u_ref) * u_ref,
 
 diagonalizes over complex Fourier modes of phi1 + i*phi2 with multipliers
 m**2 - m plus a rank-one part at m = 1, so kernel handling and solves are
-a few lines.  The reduction and critical-point machinery is shared with
-the half-plane through the problem-adapter seam.
+a few lines.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._quad import adaptive_gauss_legendre, disk_rule
-from .errors import DegenerateLoop, NotOrthogonal, QuadratureFailure
+from ._quad import disk_rule
+from .errors import NotOrthogonal
 from .fields import RegionBox, as_field, eval_field, grad_field
-from .halfplane import rot90
-from .loops import Loop, VerifyReport, dot_mean, is_embedded, smean, winding_number
-from .melnikov import (
-    NA_DEFAULT,
-    NR_DEFAULT,
-    CriticalSearch,
-    search_critical_points,
-)
-from .reduction import (
-    ContinuationResult,
-    ReductionState,
-    SolveReport,
-    continue_generic,
-    reduce_generic,
-    solve_generic,
-)
+from .halfplane import Geometry, rot90
+from .loops import Loop, dot_mean, energy
+from .melnikov import NA_DEFAULT, NR_DEFAULT, CriticalSearch, find_critical
+from .reduction import ProblemBase, SolveReport, solve_generic
 
 
 def reference_circle(k: float, n: int = 256) -> Loop:
@@ -45,53 +33,6 @@ def reference_circle(k: float, n: int = 256) -> Loop:
     return Loop.from_function(
         lambda theta: np.column_stack((np.cos(theta), np.sin(theta))) / k, n
     )
-
-
-def euclid_length(u: Loop) -> float:
-    """L(u) = sqrt(mean |u'|^2)."""
-    up = u.deriv(1)
-    value = float(np.sqrt((up**2).sum(axis=1).mean()))
-    if value < 1e-14 * max(1.0, float(np.abs(u.samples).max())):
-        raise DegenerateLoop("loop is numerically constant")
-    return value
-
-
-def residual_euclid(u: Loop, k: float, eps: float = 0.0, field=None) -> np.ndarray:
-    """Flat-plane curvature residual -u'' + L(u)(k + eps*K(u)) i u'."""
-    length = euclid_length(u)
-    kappa = np.full(u.n, float(k))
-    if eps != 0.0:
-        kappa = kappa + eps * eval_field(field, u.samples[:, 0], u.samples[:, 1])
-    return -u.deriv(2) + length * kappa[:, None] * rot90(u.deriv(1))
-
-
-def curvature_euclid(u: Loop) -> np.ndarray:
-    up, upp = u.deriv(1), u.deriv(2)
-    sp = np.hypot(up[:, 0], up[:, 1])
-    if sp.min() < 1e-8 * sp.max():
-        raise DegenerateLoop("loop speed collapses")
-    return (upp * rot90(up)).sum(axis=1) / sp**3
-
-
-def signed_area_euclid(u: Loop, field, tol: float = 1e-12) -> float:
-    """A_K(u) = mean Q(u) . (i u') with div Q = K, split half/half per axis."""
-    expr = as_field(field)
-    u1, u2 = u.samples[:, 0], u.samples[:, 1]
-    iup = rot90(u.deriv(1))
-    q1 = adaptive_gauss_legendre(
-        lambda idx, t: eval_field(expr, t, u2[idx]), np.zeros_like(u1), u1, tol=tol
-    )
-    q2 = adaptive_gauss_legendre(
-        lambda idx, t: eval_field(expr, u1[idx], t), np.zeros_like(u2), u2, tol=tol
-    )
-    return dot_mean(np.column_stack((0.5 * q1, 0.5 * q2)), iup)
-
-
-def energy_euclid(u: Loop, k: float, eps: float = 0.0, field=None, tol: float = 1e-12) -> float:
-    """L(u) + k * A_1(u) + eps * A_K(u); A_1 via the closed gauge z/2."""
-    area1 = 0.5 * dot_mean(u.samples, rot90(u.deriv(1)))
-    pert = signed_area_euclid(u, field, tol) if (eps != 0.0 and field is not None) else 0.0
-    return euclid_length(u) + k * area1 + eps * pert
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +120,6 @@ def melnikov_grid_euclid(z1, z2, k: float, field, nr: int = NR_DEFAULT, na: int 
     return out
 
 
-def melnikov_value_euclid(z, k: float, field, nr: int = NR_DEFAULT, na: int = NA_DEFAULT,
-                          rtol: float = 1e-9, max_doublings: int = 3) -> float:
-    """Integral of K over the Euclidean disk D_{1/k}(z), with refinement."""
-    z = np.asarray([z[0], z[1]], dtype=float)
-    prev = float(melnikov_grid_euclid([z[0]], [z[1]], k, field, nr, na)[0])
-    for _ in range(max_doublings):
-        nr, na = 2 * nr, 2 * na
-        cur = float(melnikov_grid_euclid([z[0]], [z[1]], k, field, nr, na)[0])
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureFailure(f"disk rule did not stabilize to rtol={rtol}")
-
-
 def melnikov_gradient_grid_euclid(z1, z2, k: float, field,
                                   nr: int = NR_DEFAULT, na: int = NA_DEFAULT):
     d1, d2 = grad_field(as_field(field))
@@ -211,84 +138,49 @@ def melnikov_gradient_grid_euclid(z1, z2, k: float, field,
     return g1, g2
 
 
+def _killing_fields(samples: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The flat Killing fields e1, e2 and the rotation i z at the samples."""
+    ones, zeros = np.ones(len(samples)), np.zeros(len(samples))
+    return np.column_stack((ones, zeros)), np.column_stack((zeros, ones)), rot90(samples)
+
+
+FLAT = Geometry(
+    curved=False, area_base=0.0, killing=_killing_fields, floor=-np.inf,
+    # late-bound like the half-plane rules, so wrapping the functions wraps these too
+    disk=(lambda *args: melnikov_grid_euclid(*args),
+          lambda *args: melnikov_gradient_grid_euclid(*args)),
+)
+
+
 def find_critical_euclid(k: float, field, region: RegionBox, grid: int = 32,
                          nr: int = NR_DEFAULT, na: int = NA_DEFAULT) -> CriticalSearch:
     """Critical points of the flat disk average over a region box."""
-    expr = as_field(field)
-    return search_critical_points(
-        lambda z1, z2: melnikov_grid_euclid(z1, z2, k, expr, nr, na),
-        lambda z1, z2: melnikov_gradient_grid_euclid(z1, z2, k, expr, nr, na),
-        region, grid, lower_z2=-np.inf,
-    )
+    return find_critical(k, field, region, grid, nr, na, geometry=FLAT)
 
 
 # ---------------------------------------------------------------------------
-# Verification and the problem adapter
+# The problem adapter
 # ---------------------------------------------------------------------------
 
 
-def killing_integrals_euclid(u: Loop, k: float, eps: float = 0.0, field=None) -> np.ndarray:
-    """Pairings of the prescribed curvature with e1, e2, and the rotation field iz."""
-    iup = rot90(u.deriv(1))
-    kappa = np.full(u.n, float(k))
-    if eps != 0.0:
-        kappa = kappa + eps * eval_field(field, u.samples[:, 0], u.samples[:, 1])
-    fields = (
-        np.column_stack((np.ones(u.n), np.zeros(u.n))),
-        np.column_stack((np.zeros(u.n), np.ones(u.n))),
-        rot90(u.samples),
-    )
-    return np.array([smean(kappa * (x * iup).sum(axis=1)) for x in fields])
-
-
-def verify_solution_euclid(u: Loop, k: float, eps: float = 0.0, field=None) -> VerifyReport:
-    try:
-        length = euclid_length(u)
-        res = float(np.abs(residual_euclid(u, k, eps, field)).max())
-        up = u.deriv(1)
-        speed_defect = float(np.abs(np.hypot(up[:, 0], up[:, 1]) - length).max())
-        target = np.full(u.n, float(k))
-        if eps != 0.0:
-            target = target + eps * eval_field(field, u.samples[:, 0], u.samples[:, 1])
-        curvature_defect = float(np.abs(curvature_euclid(u) - target).max())
-        return VerifyReport(
-            residual_sup=res,
-            speed_defect=speed_defect,
-            curvature_defect=curvature_defect,
-            killing=killing_integrals_euclid(u, k, eps, field),
-            mu=winding_number(u),
-            embedded=is_embedded(u),
-            length=length,
-        )
-    except DegenerateLoop:
-        return VerifyReport(np.inf, np.inf, np.inf, np.full(3, np.inf), 0, False, 0.0)
-
-
-class EuclideanProblem:
+class EuclideanProblem(ProblemBase):
     """Flat-plane callbacks for the shared reduction driver."""
 
-    guard_floor = None
-    mean_sq = 1.0
+    geometry = FLAT
+
+    @staticmethod
+    def reference_data(k: float, n: int):
+        """The circle, its tangent fields (u_ref', e1, e2), mean_sq = 1 and its energy."""
+        reference = reference_circle(k, n)
+        tangent = np.stack((reference.deriv(1), *_killing_fields(reference.samples)[:2]))
+        return reference, tangent, 1.0, energy(reference, k, geometry=FLAT).total
 
     def __init__(self, k: float, field, n: int = 256):
-        self.k = float(k)
-        self.field = as_field(field) if field is not None else None
-        self.n = int(n)
-        self.reference = reference_circle(k, n)
-        e1 = np.column_stack((np.ones(n), np.zeros(n)))
-        e2 = np.column_stack((np.zeros(n), np.ones(n)))
-        self.tangent = np.stack((self.reference.deriv(1), e1, e2))
+        super().__init__(k, field, n)
         self._gram = np.array([[dot_mean(a, b) for b in self.tangent] for a in self.tangent])
-        self.reference_energy = energy_euclid(self.reference, k)
 
     def base_loop(self, z) -> Loop:
         return Loop(self.reference.samples + np.asarray(z, dtype=float))
-
-    def residual(self, u: Loop, eps: float) -> np.ndarray:
-        return residual_euclid(u, self.k, eps, self.field)
-
-    def energy_total(self, u: Loop, eps: float) -> float:
-        return energy_euclid(u, self.k, eps, self.field)
 
     def frozen_solve(self, z, rhs, cons):
         tang = self.tangent
@@ -300,35 +192,8 @@ class EuclideanProblem:
         phi_perp = phi_perp - np.tensordot(tcoef, tang, axes=1)
         return phi_tan + phi_perp, float(mults[0]), mults[1:]
 
-    def verify(self, u: Loop, eps: float) -> VerifyReport:
-        return verify_solution_euclid(u, self.k, eps, self.field)
-
-    def length(self, u: Loop) -> float:
-        return euclid_length(u)
-
-    def is_admissible(self, samples: np.ndarray) -> bool:
-        return True
-
-    def melnikov_seed(self, region, grid):
-        search = find_critical_euclid(self.k, self.field, region, grid)
-        points = search.require_points()
-        for p in points:
-            if p.classification in ("min", "max", "saddle"):
-                return np.asarray(p.z)
-        return np.asarray(points[0].z)
-
-
-def reduce_at_euclid(eps: float, z, k: float, field, n: int = 256,
-                     warm: ReductionState | None = None) -> ReductionState:
-    return reduce_generic(EuclideanProblem(k, field, n), eps, z, warm=warm)
-
 
 def solve_full_euclid(eps: float, k: float, field, region: RegionBox,
                       grid: int = 16, n: int = 256, seed=None) -> SolveReport:
     """End-to-end flat-plane solve; mirrors the half-plane interface."""
     return solve_generic(EuclideanProblem(k, field, n), eps, region, grid, seed=seed)
-
-
-def continue_eps_euclid(k: float, field, region: RegionBox, eps_targets,
-                        grid: int = 16, n: int = 256) -> ContinuationResult:
-    return continue_generic(EuclideanProblem(k, field, n), region, eps_targets, grid)

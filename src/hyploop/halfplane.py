@@ -5,12 +5,13 @@ The model is the upper half-plane ``{(z1, z2) : z2 > 0}`` with metric
 distances, hyperbolic-disk/Euclidean-disk conversion, the quadratic
 connection term entering covariant derivatives along curves, the
 translation group ``u -> z1*e1 + z2*u``, and pointwise geodesic curvature
-of a sampled loop.
+of a sampled loop, in either plane described by a ``Geometry`` record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -126,15 +127,51 @@ def check_regular(u) -> np.ndarray:
     return sp
 
 
-def geodesic_curvature(u) -> np.ndarray:
-    """Signed geodesic curvature at every sample of a half-plane loop.
+@dataclass(frozen=True)
+class Geometry:
+    """What the loop functionals and the reduction need to know of a plane.
 
-    kappa = u2 * (u'' - u2**-1 Gamma(u')) . (i u') / |u'|**3, positive for
+    ``curved``: the metric is z2**-2 |dz|**2 on z2 > 0, with conformal
+    weight 1/z2 and the connection term ``christoffel``; else it is flat.
+    """
+
+    curved: bool
+    area_base: float   # the height where the gauge of the K-weighted area starts
+    killing: Callable  # samples (N, 2) -> the three Killing fields there
+    floor: float       # correction and center iterates stay above this u2
+    disk: tuple | None = None  # (value, gradient) grid rules; None: those of melnikov
+
+    def height(self, u) -> np.ndarray:
+        """Sample heights h of a loop, the conformal weight being 1/h: u2 > 0, or 1 if flat."""
+        if self.curved and not u.is_upper:
+            raise ValueError("loop leaves the half-plane (a sample has u2 <= 0)")
+        return u.samples[:, 1] if self.curved else np.ones(u.n)
+
+    def connection(self, up: np.ndarray, h: np.ndarray):
+        """The connection term h**-1 Gamma(u') of covariant derivatives; 0 when flat."""
+        return christoffel(up) / h[:, None] if self.curved else 0.0
+
+
+def _killing_fields(samples: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The half-plane Killing fields e1, z and z**2 at the samples."""
+    u1, u2 = samples[:, 0], samples[:, 1]
+    e1 = np.column_stack((np.ones(len(u1)), np.zeros(len(u1))))
+    return e1, samples, np.column_stack((u1**2 - u2**2, 2.0 * u1 * u2))
+
+
+HALFPLANE = Geometry(curved=True, area_base=1.0, killing=_killing_fields, floor=1e-6)
+
+
+def geodesic_curvature(u, geometry: Geometry = HALFPLANE) -> np.ndarray:
+    """Signed geodesic curvature at every sample of a loop.
+
+    kappa = h * (u'' - h**-1 Gamma(u')) . (i u') / |u'|**3, with h = u2 in
+    the half-plane and h = 1, Gamma = 0 in the flat plane; positive for
     positively oriented circles.  Raises DegenerateLoop when the loop is
     not regular enough to divide by |u'|**3.
     """
     sp = check_regular(u)
     up, upp = u.deriv(1), u.deriv(2)
-    u2 = u.samples[:, 1]
-    cov = upp - christoffel(up) / u2[:, None]
-    return u2 * (cov * rot90(up)).sum(axis=1) / sp**3
+    h = geometry.height(u)
+    cov = upp - geometry.connection(up, h)
+    return h * (cov * rot90(up)).sum(axis=1) / sp**3

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NotOrthogonal
-from .halfplane import as_point, rot90
+from .halfplane import HALFPLANE, as_point, rot90
 from .loops import Loop, curvature_radius, dot_mean, reference_loop, residual
 
 ZERO_SV_RTOL = 1e-9  # sigma below this times the block's largest sigma counts as zero
@@ -87,8 +87,7 @@ def kernel_basis(k: float, n: int) -> np.ndarray:
 def tangent_fields(k: float, n: int) -> np.ndarray:
     """Fields spanning the solution manifold's tangent space: (u', e1, u)."""
     base, om_p, _ = _frame(k, n)
-    e1 = np.column_stack((np.ones(n), np.zeros(n)))
-    return np.stack((om_p, e1, base.samples))
+    return np.stack((om_p, *HALFPLANE.killing(base.samples)[:2]))
 
 
 # ---------------------------------------------------------------------------

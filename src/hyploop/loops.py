@@ -1,11 +1,13 @@
-"""Periodic loops with spectral derivatives and the half-plane functionals.
+"""Periodic loops with spectral derivatives and the loop functionals.
 
 A loop is stored as N uniform samples over the parameter circle together
 with cached Fourier data; derivatives come from exact wavenumber
 multiplication, so all functionals below (length, weighted areas, energy,
 curvature residual) are spectrally accurate on analytic loops.  Means over
 the circle are plain sample averages, which integrate trigonometric
-polynomials below the aliasing limit exactly.
+polynomials below the aliasing limit exactly.  Each functional takes a
+``Geometry`` record, the half-plane by default; the flat record of
+``euclidean`` gives the same functional in the plane.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from ._quad import adaptive_gauss_legendre
 from .errors import DegenerateLoop
 from .fields import as_field, eval_field
-from .halfplane import christoffel, geodesic_curvature, rot90
+from .halfplane import HALFPLANE, Geometry, geodesic_curvature, rot90
 
 
 class Loop:
@@ -95,21 +97,11 @@ class Loop:
             return Loop(np.roll(self.samples, -int(round(shift)) % self.n, axis=0))
         freqs = np.fft.rfftfreq(self.n, d=1.0 / self.n)
         phase = np.exp(1j * freqs * alpha)
-        c = self.coeffs * phase[:, None]
-        return Loop(
-            np.column_stack((np.fft.irfft(c[:, 0], n=self.n), np.fft.irfft(c[:, 1], n=self.n)))
-        )
+        return Loop(np.fft.irfft(self.coeffs * phase[:, None], n=self.n, axis=0))
 
     def refined(self, factor: int = 4) -> "Loop":
         """Spectrally upsample to factor*N points (zero padding)."""
-        m = self.n * factor
-        out = np.column_stack(
-            (
-                np.fft.irfft(self.coeffs[:, 0], n=m),
-                np.fft.irfft(self.coeffs[:, 1], n=m),
-            )
-        ) * factor
-        return Loop(out)
+        return Loop(np.fft.irfft(self.coeffs, n=self.n * factor, axis=0) * factor)
 
     @property
     def is_upper(self) -> bool:
@@ -134,21 +126,11 @@ def _wavenumber_powers(n: int, orders: tuple[int, ...]) -> np.ndarray:
     return mults
 
 
-def require_upper(u: Loop):
-    if not u.is_upper:
-        raise ValueError("loop leaves the half-plane (a sample has u2 <= 0)")
-
-
 def _require_nonconstant(u: Loop):
     spread = (u.samples.max(axis=0) - u.samples.min(axis=0)).max()
     scale = max(1.0, np.abs(u.samples).max())
     if spread < 1e-14 * scale:
         raise DegenerateLoop("loop is numerically constant")
-
-
-def smean(values: np.ndarray) -> float:
-    """Mean over the parameter circle (uniform sample average)."""
-    return float(np.mean(values))
 
 
 def dot_mean(a: np.ndarray, b: np.ndarray) -> float:
@@ -189,36 +171,39 @@ def reference_loop(k: float, n: int = 256) -> Loop:
 # ---------------------------------------------------------------------------
 
 
-def loop_length(u: Loop) -> float:
-    """Hyperbolic length functional L(u) = sqrt(mean of u2**-2 |u'|^2)."""
-    require_upper(u)
+def loop_length(u: Loop, geometry: Geometry = HALFPLANE) -> float:
+    """Length functional L(u) = sqrt(mean of h**-2 |u'|^2); h = u2 in the half-plane."""
+    h = geometry.height(u)
     _require_nonconstant(u)
-    return _length(u.deriv(1), u.samples[:, 1])
+    return _length(u.deriv(1), h)
 
 
-def _length(up: np.ndarray, u2: np.ndarray) -> float:
-    return float(np.sqrt(((up**2).sum(axis=1) / u2**2).mean()))
+def _length(up: np.ndarray, h: np.ndarray) -> float:
+    return float(np.sqrt(((up**2).sum(axis=1) / h**2).mean()))
 
 
-def area_const(u: Loop) -> float:
-    """Unit-weight area via the closed-form gauge (0, -1/z2): -mean(u1'/u2)."""
-    require_upper(u)
-    return -float((u.deriv(1)[:, 0] / u.samples[:, 1]).mean())
+def area_const(u: Loop, geometry: Geometry = HALFPLANE) -> float:
+    """Unit-weight area by a closed-form gauge: (0, -1/z2) in the half-plane, z/2 in the plane."""
+    if not geometry.curved:
+        return 0.5 * dot_mean(u.samples, rot90(u.deriv(1)))
+    return -float((u.deriv(1)[:, 0] / geometry.height(u)).mean())
 
 
-def signed_area(u: Loop, field, tol: float = 1e-12, weights=(0.5, 0.5)) -> float:
+def signed_area(u: Loop, field, tol: float = 1e-12, weights=(0.5, 0.5),
+                geometry: Geometry = HALFPLANE) -> float:
     """K-weighted signed area A_K(u) = mean of Q_K(u) . (i u').
 
     Q_K is the gauge built from two 1-D integrals of K, each evaluated to
     absolute tolerance ``tol`` by adaptive Gauss-Legendre:
 
-        Q1 = w1 * z2**-2 * integral_0^z1 K(t, z2) dt
-        Q2 = w2 * integral_1^z2 t**-2 K(z1, t) dt
+        Q1 = w1 * h(z2)**-2 * integral_0^z1 K(t, z2) dt
+        Q2 = w2 * integral_b^z2 h(t)**-2 K(z1, t) dt
 
+    with h(t) = t and b = 1 in the half-plane, h = 1 and b = 0 in the plane.
     Any ``weights`` with w1 + w2 = 1 gives a divergence-matched gauge, so
     the value is gauge-independent; (0.5, 0.5) is the default split.
     """
-    require_upper(u)
+    h = geometry.height(u)
     expr = as_field(field)
     u1 = u.samples[:, 0]
     u2 = u.samples[:, 1]
@@ -229,10 +214,11 @@ def signed_area(u: Loop, field, tol: float = 1e-12, weights=(0.5, 0.5)) -> float
         vals = adaptive_gauss_legendre(
             lambda idx, t: eval_field(expr, t, u2[idx]), np.zeros_like(u1), u1, tol=tol
         )
-        q[:, 0] = w1 * vals / u2**2
+        q[:, 0] = w1 * vals / h**2
     if w2:
         vals = adaptive_gauss_legendre(
-            lambda idx, t: eval_field(expr, u1[idx], t) / t**2, np.ones_like(u2), u2, tol=tol
+            lambda idx, t: eval_field(expr, u1[idx], t) / (t**2 if geometry.curved else 1.0),
+            np.full_like(u2, geometry.area_base), u2, tol=tol,
         )
         q[:, 1] = w2 * vals
     return dot_mean(q, iup)
@@ -252,7 +238,8 @@ class EnergyBreakdown:
         return self.length_part + self.const_area_part + self.eps * self.pert_area_part
 
 
-def energy(u: Loop, k: float, eps: float = 0.0, field=None, tol: float = 1e-12) -> EnergyBreakdown:
+def energy(u: Loop, k: float, eps: float = 0.0, field=None, tol: float = 1e-12,
+           geometry: Geometry = HALFPLANE) -> EnergyBreakdown:
     """Energy of a loop for prescribed curvature k + eps*K.
 
     The constant part always uses the closed-form gauge; the perturbation
@@ -261,29 +248,36 @@ def energy(u: Loop, k: float, eps: float = 0.0, field=None, tol: float = 1e-12) 
     """
     if eps != 0.0 and field is None:
         raise ValueError("eps != 0 requires a perturbation field")
-    length = loop_length(u)
-    const_part = k * area_const(u)
-    pert = signed_area(u, field, tol=tol) if field is not None else 0.0
+    length = loop_length(u, geometry)
+    const_part = k * area_const(u, geometry)
+    pert = signed_area(u, field, tol=tol, geometry=geometry) if field is not None else 0.0
     return EnergyBreakdown(length, const_part, pert, eps)
 
 
-def residual(u: Loop, k: float, eps: float = 0.0, field=None) -> np.ndarray:
-    """Curvature residual J_eps(u), sampled; zero iff u is a (k+eps*K)-loop.
-
-    J_eps(u) = u2**-2 * (-u'' + u2**-1 Gamma(u') + L(u)(k + eps*K(u)) i u')
-    """
-    require_upper(u)
-    _require_nonconstant(u)
-    up, upp = u.deriv(1), u.deriv(2)
-    u2 = u.samples[:, 1]
-    length = _length(up, u2)
+def _prescribed(u: Loop, k: float, eps: float, field) -> np.ndarray:
+    """The prescribed curvature k + eps*K at the samples."""
     kappa = np.full(u.n, float(k))
     if eps != 0.0:
         if field is None:
             raise ValueError("eps != 0 requires a perturbation field")
-        kappa = kappa + eps * eval_field(field, u.samples[:, 0], u2)
-    core = -upp + christoffel(up) / u2[:, None] + length * kappa[:, None] * rot90(up)
-    return core / u2[:, None] ** 2
+        kappa = kappa + eps * eval_field(field, u.samples[:, 0], u.samples[:, 1])
+    return kappa
+
+
+def residual(u: Loop, k: float, eps: float = 0.0, field=None,
+             geometry: Geometry = HALFPLANE) -> np.ndarray:
+    """Curvature residual J_eps(u), sampled; zero iff u is a (k+eps*K)-loop.
+
+    J_eps(u) = h**-2 * (-u'' + h**-1 Gamma(u') + L(u)(k + eps*K(u)) i u'),
+    h = u2 in the half-plane; h = 1 and Gamma = 0 in the plane.
+    """
+    h = geometry.height(u)
+    _require_nonconstant(u)
+    up, upp = u.deriv(1), u.deriv(2)
+    length = _length(up, h)
+    kappa = _prescribed(u, k, eps, field)
+    core = -upp + geometry.connection(up, h) + length * kappa[:, None] * rot90(up)
+    return core / h[:, None] ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -368,25 +362,18 @@ def _all_pairs_simple(pts: np.ndarray) -> bool:
     return True
 
 
-def killing_integrals(u: Loop, k: float, eps: float = 0.0, field=None) -> np.ndarray:
+def killing_integrals(u: Loop, k: float, eps: float = 0.0, field=None,
+                      geometry: Geometry = HALFPLANE) -> np.ndarray:
     """Boundary pairings of the prescribed curvature with the Killing fields.
 
-    I_X = mean of u2**-2 (k + eps*K(u)) X(u) . (i u') for X in {e1, z, z^2};
-    all three vanish on exact solutions.
+    I_X = mean of h**-2 (k + eps*K(u)) X(u) . (i u') for the three Killing
+    fields X of the geometry (e1, z, z^2 in the half-plane, e1, e2, iz in
+    the plane); all three vanish on exact solutions.
     """
-    require_upper(u)
-    u1, u2 = u.samples[:, 0], u.samples[:, 1]
+    h = geometry.height(u)
     iup = rot90(u.deriv(1))
-    kappa = np.full(u.n, float(k))
-    if eps != 0.0:
-        kappa = kappa + eps * eval_field(field, u1, u2)
-    w = kappa / u2**2
-    fields = (
-        np.column_stack((np.ones(u.n), np.zeros(u.n))),
-        u.samples,
-        np.column_stack((u1**2 - u2**2, 2.0 * u1 * u2)),
-    )
-    return np.array([smean(w * (x * iup).sum(axis=1)) for x in fields])
+    w = _prescribed(u, k, eps, field) / h**2
+    return np.array([(w * (x * iup).sum(axis=1)).mean() for x in geometry.killing(u.samples)])
 
 
 @dataclass(frozen=True)
@@ -396,7 +383,7 @@ class VerifyReport:
     residual_sup: float
     speed_defect: float
     curvature_defect: float
-    killing: np.ndarray  # pairings with e1, z, z^2
+    killing: np.ndarray  # pairings with the three Killing fields
     mu: int
     embedded: bool
     length: float
@@ -409,7 +396,8 @@ class VerifyReport:
         )
 
 
-def verify_solution(u: Loop, k: float, eps: float = 0.0, field=None) -> VerifyReport:
+def verify_solution(u: Loop, k: float, eps: float = 0.0, field=None,
+                    geometry: Geometry = HALFPLANE) -> VerifyReport:
     """Measure how well u solves the prescribed-curvature problem.
 
     Reports the residual sup-norm, the constant-speed defect, the pointwise
@@ -417,17 +405,14 @@ def verify_solution(u: Loop, k: float, eps: float = 0.0, field=None) -> VerifyRe
     winding multiplicity, and the embeddedness flag.
     """
     try:
-        length = loop_length(u)
-        res = float(np.abs(residual(u, k, eps, field)).max())
+        length = loop_length(u, geometry)
+        res = float(np.abs(residual(u, k, eps, field, geometry)).max())
         speed = u.deriv(1)
-        profile = np.hypot(speed[:, 0], speed[:, 1]) / u.samples[:, 1]
+        profile = np.hypot(speed[:, 0], speed[:, 1]) / geometry.height(u)
         speed_defect = float(np.abs(profile - length).max())
-        kappa = geodesic_curvature(u)
-        target = np.full(u.n, float(k))
-        if eps != 0.0:
-            target = target + eps * eval_field(field, u.samples[:, 0], u.samples[:, 1])
-        curvature_defect = float(np.abs(kappa - target).max())
-        killing = killing_integrals(u, k, eps, field)
+        kappa = geodesic_curvature(u, geometry)
+        curvature_defect = float(np.abs(kappa - _prescribed(u, k, eps, field)).max())
+        killing = killing_integrals(u, k, eps, field, geometry)
         return VerifyReport(
             residual_sup=res,
             speed_defect=speed_defect,

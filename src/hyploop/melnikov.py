@@ -13,20 +13,20 @@ is a Euclidean disk, so F reduces to a fixed-domain integral
 
 evaluated with a Gauss-Legendre (radial) x uniform (angular) tensor rule.
 Differentiation under the integral gives the gradient.  The critical-point
-search (grid scan + Newton refinement + Hessian classification) is generic
-over (value, gradient) callbacks so the Euclidean variant can reuse it.
+search (grid scan + Newton refinement + Hessian classification), the seed
+choice and value refinement take a ``Geometry`` record for the flat plane.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from ._quad import disk_rule
 from .errors import NoCritical, QuadratureFailure
 from .fields import RegionBox, as_field, eval_field, grad_field
-from .halfplane import HyperPoint, as_point
+from .halfplane import HALFPLANE, Geometry, as_point
 from .loops import curvature_radius
 
 NR_DEFAULT = 64
@@ -67,17 +67,19 @@ def melnikov_value(
     z, k: float, field,
     nr: int = NR_DEFAULT, na: int = NA_DEFAULT,
     rtol: float = 1e-9, max_doublings: int = 3,
+    geometry: Geometry = HALFPLANE,
 ) -> float:
     """F at a single center, refining the rule until it stabilizes.
 
     The orders double until successive values agree to ``rtol`` relative
     to max(1, |F|); smooth fields stop at the first comparison.
     """
-    zp = as_point(z)
-    prev = float(melnikov_grid([zp.z1], [zp.z2], k, field, nr, na)[0])
+    z1, z2 = astuple(as_point(z)) if geometry.curved else (z[0], z[1])
+    value_grid = geometry.disk[0] if geometry.disk else melnikov_grid
+    prev = float(value_grid([z1], [z2], k, field, nr, na)[0])
     for _ in range(max_doublings):
         nr, na = 2 * nr, 2 * na
-        cur = float(melnikov_grid([zp.z1], [zp.z2], k, field, nr, na)[0])
+        cur = float(value_grid([z1], [z2], k, field, nr, na)[0])
         if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
             return cur
         prev = cur
@@ -306,26 +308,27 @@ def _boundary(values: np.ndarray) -> np.ndarray:
 
 def find_critical(
     k: float, field, region: RegionBox, grid: int = 32,
-    nr: int = NR_DEFAULT, na: int = NA_DEFAULT,
+    nr: int = NR_DEFAULT, na: int = NA_DEFAULT, geometry: Geometry = HALFPLANE,
 ) -> CriticalSearch:
-    """Critical points of the hyperbolic disk average over a region box."""
+    """Critical points of the disk average over a region box."""
     expr = as_field(field)
+    value_grid, gradient_grid = geometry.disk or (melnikov_grid, melnikov_gradient_grid)
 
     def value_grid_fn(z1, z2):
-        return melnikov_grid(z1, z2, k, expr, nr, na)
+        return value_grid(z1, z2, k, expr, nr, na)
 
     def grad_grid_fn(z1, z2):
-        return melnikov_gradient_grid(z1, z2, k, expr, nr, na)
+        return gradient_grid(z1, z2, k, expr, nr, na)
 
-    floor = 0.5 * region.z2min
+    floor = 0.5 * region.z2min if geometry.curved else -np.inf
     return search_critical_points(value_grid_fn, grad_grid_fn, region, grid, lower_z2=floor)
 
 
-def critical_point(k: float, field, region: RegionBox, grid: int = 32) -> HyperPoint:
+def critical_point(k: float, field, region: RegionBox, grid: int = 32,
+                   geometry: Geometry = HALFPLANE) -> tuple[float, float]:
     """First non-degenerate critical point (deterministic order); raises NoCritical."""
-    search = find_critical(k, field, region, grid)
-    points = search.require_points()
+    points = find_critical(k, field, region, grid, geometry=geometry).require_points()
     for p in points:
         if p.classification in ("min", "max", "saddle"):
-            return HyperPoint(*p.z)
-    return HyperPoint(*points[0].z)
+            return p.z
+    return points[0].z

@@ -15,8 +15,8 @@ preconditioned by the exact inverse of the frozen bordered linearization
 t vanishes and theta encodes the gradient of the reduced energy in z, so
 critical centers are found by a small outer Newton iteration on theta.
 
-The machinery is generic over a problem adapter so the Euclidean variant
-runs through the same code path with flat-plane callbacks.
+The adapter, ``ProblemBase``, is written once over a ``Geometry`` record,
+so the Euclidean variant runs through the same code with its flat record.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import HyploopError, NewtonDiverged, NotEmbedded, StepTooLarge
 from .fields import as_field
-from .halfplane import as_point, translate
+from .halfplane import HALFPLANE, as_point, translate
 from .linearized import frozen_solve, tangent_fields
 from .loops import (
     Loop,
@@ -46,7 +46,6 @@ from .melnikov import critical_point
 
 REDUCE_TOL = 1e-11
 FULL_RESIDUAL_TOL = 1e-9
-HALFPLANE_FLOOR = 1e-6
 FD_STEP = 1e-6  # relative step for Jacobian-vector products
 Z_STEP = 1e-5   # step for the outer finite-difference Jacobian in z
 
@@ -66,41 +65,51 @@ def _reference_data(k: float, n: int):
     return reference, tangent, mean_sq, energy(reference, k).total
 
 
-class HyperbolicProblem:
-    """Half-plane callbacks consumed by the generic reduction driver."""
+class ProblemBase:
+    """Callbacks of the generic reduction driver, over a ``Geometry`` record.
 
-    guard_floor = HALFPLANE_FLOOR
+    Subclasses set ``geometry`` and ``reference_data`` (k, n -> reference
+    loop, tangent fields, mean_sq, reference energy) and define
+    ``base_loop`` and ``frozen_solve``.
+    """
 
     def __init__(self, k: float, field, n: int = 256):
         self.k = float(k)
         self.field = as_field(field) if field is not None else None
         self.n = int(n)
         self.reference, self.tangent, self.mean_sq, self.reference_energy = (
-            _reference_data(self.k, self.n))
+            self.reference_data(self.k, self.n))
+
+    def residual(self, u: Loop, eps: float) -> np.ndarray:
+        return residual(u, self.k, eps, self.field, self.geometry)
+
+    def energy_total(self, u: Loop, eps: float) -> float:
+        return energy(u, self.k, eps, self.field, geometry=self.geometry).total
+
+    def verify(self, u: Loop, eps: float) -> VerifyReport:
+        return verify_solution(u, self.k, eps, self.field, self.geometry)
+
+    def length(self, u: Loop) -> float:
+        return loop_length(u, self.geometry)
+
+    def is_admissible(self, samples: np.ndarray) -> bool:
+        return samples[:, 1].min() > self.geometry.floor
+
+    def melnikov_seed(self, region, grid):
+        return critical_point(self.k, self.field, region, grid, self.geometry)
+
+
+class HyperbolicProblem(ProblemBase):
+    """Half-plane callbacks consumed by the generic reduction driver."""
+
+    geometry = HALFPLANE
+    reference_data = staticmethod(_reference_data)
 
     def base_loop(self, z) -> Loop:
         return translate(as_point(z), self.reference)
 
-    def residual(self, u: Loop, eps: float) -> np.ndarray:
-        return residual(u, self.k, eps, self.field)
-
-    def energy_total(self, u: Loop, eps: float) -> float:
-        return energy(u, self.k, eps, self.field).total
-
     def frozen_solve(self, z, rhs, cons):
         return frozen_solve(z, self.k, rhs, cons)
-
-    def verify(self, u: Loop, eps: float) -> VerifyReport:
-        return verify_solution(u, self.k, eps, self.field)
-
-    def length(self, u: Loop) -> float:
-        return loop_length(u)
-
-    def is_admissible(self, samples: np.ndarray) -> bool:
-        return samples[:, 1].min() > self.guard_floor
-
-    def melnikov_seed(self, region, grid):
-        return critical_point(self.k, self.field, region, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +379,7 @@ def solve_generic(problem, eps: float, region, grid: int = 16,
         except np.linalg.LinAlgError:
             raise NewtonDiverged("singular reduced Jacobian in the center iteration")
         for _ in range(20):
-            if problem.guard_floor is None or z[1] + step[1] > 2 * problem.guard_floor:
+            if z[1] + step[1] > 2 * problem.geometry.floor:
                 break
             step = 0.5 * step
         z = z + step

@@ -12,11 +12,10 @@ import numpy as np
 from hyploop.cli import main as cli_main
 from hyploop.errors import NoCritical
 from hyploop.euclidean import (
+    FLAT,
     apply_linearization_euclid,
     kernel_basis_euclid,
-    melnikov_value_euclid,
     reference_circle,
-    residual_euclid,
     solve_full_euclid,
 )
 from hyploop.fields import PlaneBox, RegionBox, check_nonexistence, parse_field
@@ -235,7 +234,7 @@ def test_criterion_8_convergence_orders():
 def test_criterion_9_euclidean_oracle():
     crit = Criterion(9, "flat-plane oracle")
     k = 2.0
-    res = np.abs(residual_euclid(reference_circle(k, 64), k)).max()
+    res = np.abs(residual(reference_circle(k, 64), k, geometry=FLAT)).max()
     crit.check("circle residual < 1e-12", res < 1e-12, f"{res:.3e}")
 
     worst = max(
@@ -243,7 +242,7 @@ def test_criterion_9_euclidean_oracle():
     )
     crit.check("kernel basis annihilated < 1e-12", worst < 1e-12, f"{worst:.3e}")
 
-    gap = abs(melnikov_value_euclid((0.4, -1.0), k, "1") - np.pi / k**2)
+    gap = abs(melnikov_value((0.4, -1.0), k, "1", geometry=FLAT) - np.pi / k**2)
     crit.check("constant-field disk area < 1e-10", gap < 1e-10, f"{gap:.3e}")
 
     report = solve_full_euclid(0.01, k, QUADRATIC, PlaneBox(-0.6, 0.6, 1.4, 2.6), grid=12)

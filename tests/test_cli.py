@@ -368,6 +368,23 @@ class TestConfigHandling:
         assert err.startswith(f"hyploop: config error: --{key.replace('_', '-')} must be finite")
         assert sorted(p.name for p in tmp_path.iterdir()) == (["run.json"] if source == "config" else [])
 
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", "3",                                # not a JSON object
+        '{"grid": "abc"}', '{"n_samples": "x"}',       # not a number
+        '{"grid": 12.7}',                              # not an integer
+        '{"gird": 4}',                                 # misspelled key
+        '{"tolerances": {"reduce_tol": 1e-3}}',        # no such setting
+        '{"field": 3}',                                # not text
+    ])
+    def test_bad_config_file_exits_3(self, capsys, tmp_path, monkeypatch, text):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.json").write_text(text)
+        field = [] if '"field"' in text else ["--field", QUADRATIC]
+        code, out, err = run(capsys, "reduce", "--config", "run.json", "--k", "2",
+                             "--eps", "0.01", "--z", "0,2", *field)
+        assert code == 3 and out == ""
+        assert err.startswith("hyploop: config error: ") and err.count("\n") == 1
+
     def test_unknown_flag_exits_3(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["melnikov", "--bogus"])

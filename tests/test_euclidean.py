@@ -3,25 +3,29 @@ import pytest
 
 from hyploop.errors import NotOrthogonal
 from hyploop.euclidean import (
+    FLAT,
     EuclideanProblem,
     apply_linearization_euclid,
-    continue_eps_euclid,
-    curvature_euclid,
-    energy_euclid,
-    euclid_length,
     find_critical_euclid,
     kernel_basis_euclid,
     melnikov_gradient_grid_euclid,
-    melnikov_value_euclid,
-    reduce_at_euclid,
     reference_circle,
-    residual_euclid,
-    signed_area_euclid,
     solve_full_euclid,
-    verify_solution_euclid,
 )
 from hyploop.fields import PlaneBox, parse_field
-from hyploop.loops import Loop, dot_mean, reference_loop, residual
+from hyploop.halfplane import geodesic_curvature
+from hyploop.loops import (
+    Loop,
+    dot_mean,
+    energy,
+    loop_length,
+    reference_loop,
+    residual,
+    signed_area,
+    verify_solution,
+)
+from hyploop.melnikov import melnikov_value
+from hyploop.reduction import continue_generic, reduce_generic
 
 from conftest import band_limited_field, band_limited_loop
 
@@ -34,25 +38,26 @@ class TestReferenceCircle:
     def test_residual_vanishes(self):
         # L(circle) * k = 1 and u'' = -u, so the residual is identically zero
         circ = reference_circle(K, 64)
-        assert np.abs(residual_euclid(circ, K)).max() < 1e-12
+        assert np.abs(residual(circ, K, geometry=FLAT)).max() < 1e-12
 
     def test_length(self):
-        assert euclid_length(reference_circle(K, 64)) == pytest.approx(1 / K, abs=1e-15)
+        assert loop_length(reference_circle(K, 64), FLAT) == pytest.approx(1 / K, abs=1e-15)
 
     def test_scaled_circle_matches_scaled_curvature(self):
         # radius 2/k has curvature k/2
         circ = Loop(2.0 * reference_circle(K, 64).samples)
-        assert np.abs(residual_euclid(circ, K / 2)).max() < 1e-12
+        assert np.abs(residual(circ, K / 2, geometry=FLAT)).max() < 1e-12
 
     def test_rotation_pairing_vanishes(self, rng):
         u = band_limited_loop(rng, center=(0.0, 0.0))
-        j = residual_euclid(u, K, 0.3, QUADRATIC)
+        j = residual(u, K, 0.3, QUADRATIC, FLAT)
         assert abs(dot_mean(j, u.deriv(1))) < 1e-12
 
     def test_energy_of_circle(self):
         # perimeter mean 1/k minus k times the enclosed area pi/k^2 / (2 pi)
         expect = 1 / K - K / (2 * K**2)
-        assert energy_euclid(reference_circle(K, 64), K) == pytest.approx(expect, abs=1e-14)
+        assert energy(reference_circle(K, 64), K, geometry=FLAT).total == pytest.approx(
+            expect, abs=1e-14)
 
 
 class TestKernel:
@@ -65,8 +70,8 @@ class TestKernel:
         base = Loop(reference_circle(K, 256).samples + np.array([0.3, -0.7]))
         h = 1e-5
         fd = (
-            residual_euclid(Loop(base.samples + h * phi), K)
-            - residual_euclid(Loop(base.samples - h * phi), K)
+            residual(Loop(base.samples + h * phi), K, geometry=FLAT)
+            - residual(Loop(base.samples - h * phi), K, geometry=FLAT)
         ) / (2 * h)
         lin = apply_linearization_euclid(phi, K)
         assert np.abs(fd - lin).max() / np.abs(lin).max() < 1e-5
@@ -91,14 +96,14 @@ class TestKernel:
 
 class TestDiskAverage:
     def test_constant_field_is_disk_area(self):
-        assert melnikov_value_euclid((0.3, -0.7), K, "1") == pytest.approx(
+        assert melnikov_value((0.3, -0.7), K, "1", geometry=FLAT) == pytest.approx(
             np.pi / K**2, abs=1e-10
         )
 
     def test_linear_field_is_centroid(self):
         # the mean of z1 over a disk is its center, exactly for this rule
         for z in ((0.3, -0.7), (-2.0, 5.0)):
-            assert melnikov_value_euclid(z, K, "z1") == pytest.approx(
+            assert melnikov_value(z, K, "z1", geometry=FLAT) == pytest.approx(
                 np.pi * z[0] / K**2, abs=1e-10
             )
 
@@ -115,8 +120,8 @@ class TestDiskAverage:
         g1, g2 = melnikov_gradient_grid_euclid([z[0]], [z[1]], K, QUADRATIC)
         h = 1e-6
         fd1 = (
-            melnikov_value_euclid(z + [h, 0], K, QUADRATIC)
-            - melnikov_value_euclid(z - [h, 0], K, QUADRATIC)
+            melnikov_value(z + [h, 0], K, QUADRATIC, geometry=FLAT)
+            - melnikov_value(z - [h, 0], K, QUADRATIC, geometry=FLAT)
         ) / (2 * h)
         assert g1[0] == pytest.approx(fd1, rel=1e-6)
 
@@ -137,13 +142,14 @@ class TestSolve:
         assert abs(report.state.t) < 1e-10
 
     def test_reduction_invariants(self):
-        state = reduce_at_euclid(1e-2, (0.1, 1.9), K, QUADRATIC)
+        state = reduce_generic(EuclideanProblem(K, QUADRATIC, 256), 1e-2, (0.1, 1.9))
         assert state.residual_sup < 1e-11
         assert abs(state.t) < 1e-10
         assert np.abs(state.constraint_res).max() < 1e-11
 
     def test_continuation(self):
-        result = continue_eps_euclid(K, QUADRATIC, BOX, [0.001, 0.01, 0.05], grid=12)
+        result = continue_generic(EuclideanProblem(K, QUADRATIC, 256), BOX, [0.001, 0.01, 0.05],
+                                  grid=12)
         assert result.solved_eps == [0.001, 0.01, 0.05]
         assert result.failure is None
 
@@ -154,12 +160,12 @@ class TestSolve:
         hyp = reference_loop(K + eps, 128)
         assert np.abs(residual(hyp, K, eps, "1")).max() < 1e-10
         euc = reference_circle(K + eps, 128)
-        assert np.abs(residual_euclid(euc, K, eps, "1")).max() < 1e-12
+        assert np.abs(residual(euc, K, eps, "1", FLAT)).max() < 1e-12
 
 
 class TestVerifyEuclid:
     def test_circle_report(self):
-        rep = verify_solution_euclid(reference_circle(K, 128), K)
+        rep = verify_solution(reference_circle(K, 128), K, geometry=FLAT)
         assert rep.residual_sup < 1e-11
         assert rep.speed_defect < 1e-13
         assert rep.curvature_defect < 1e-10
@@ -167,13 +173,13 @@ class TestVerifyEuclid:
         assert rep.mu == 1 and rep.embedded
 
     def test_curvature_of_circle(self):
-        kappa = curvature_euclid(reference_circle(3.0, 64))
+        kappa = geodesic_curvature(reference_circle(3.0, 64), FLAT)
         assert np.abs(kappa - 3.0).max() < 1e-11
 
     def test_signed_area_constant_field(self):
         # N.B. negatively weighted: mean Q . (i u') = -area/(2 pi) for ccw loops
         circ = reference_circle(K, 64)
-        assert signed_area_euclid(circ, "1") == pytest.approx(-1 / (2 * K**2), abs=1e-12)
+        assert signed_area(circ, "1", geometry=FLAT) == pytest.approx(-1 / (2 * K**2), abs=1e-12)
 
 
 class TestProblemAdapter:
