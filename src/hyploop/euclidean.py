@@ -19,10 +19,10 @@ import numpy as np
 
 from ._quad import disk_rule
 from .errors import NotOrthogonal
-from .fields import RegionBox, as_field, eval_field, grad_field
+from .fields import RegionBox, as_field, eval_field
 from .halfplane import Geometry, rot90
 from .loops import Loop, dot_mean, energy
-from .melnikov import NA_DEFAULT, NR_DEFAULT, CriticalSearch, find_critical
+from .melnikov import NA_DEFAULT, NR_DEFAULT, CriticalSearch, _boundary_gradient, find_critical
 from .reduction import ProblemBase, SolveReport, solve_generic
 
 
@@ -120,22 +120,9 @@ def melnikov_grid_euclid(z1, z2, k: float, field, nr: int = NR_DEFAULT, na: int 
     return out
 
 
-def melnikov_gradient_grid_euclid(z1, z2, k: float, field,
-                                  nr: int = NR_DEFAULT, na: int = NA_DEFAULT):
-    d1, d2 = grad_field(as_field(field))
-    z1 = np.asarray(z1, dtype=float).ravel()
-    z2 = np.asarray(z2, dtype=float).ravel()
-    q, w = disk_rule(nr, na)
-    q, w = q / k, w / k**2
-    g1 = np.empty(z1.size)
-    g2 = np.empty(z1.size)
-    for start in range(0, z1.size, 256):
-        sl = slice(start, min(start + 256, z1.size))
-        p1 = z1[None, sl] + q[:, 0:1]
-        p2 = z2[None, sl] + q[:, 1:2]
-        g1[sl] = w @ eval_field(d1, p1, p2)
-        g2[sl] = w @ eval_field(d2, p1, p2)
-    return g1, g2
+def melnikov_gradient_grid_euclid(z1, z2, k: float, field, na: int = NA_DEFAULT):
+    """(dF/dz1, dF/dz2) on arrays of centers: the integral of K(p) nu ds over the circle."""
+    return _boundary_gradient(z1, z2, field, na, lift=1.0, r0=1.0 / k, r1=0.0, curved=False)
 
 
 def _killing_fields(samples: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -23,7 +23,7 @@ import numpy as np
 from ._quad import adaptive_gauss_legendre
 from .errors import DegenerateLoop
 from .fields import as_field, eval_field
-from .halfplane import HALFPLANE, Geometry, geodesic_curvature, rot90
+from .halfplane import HALFPLANE, Geometry, _curvature, check_regular, rot90
 
 
 class Loop:
@@ -273,9 +273,12 @@ def residual(u: Loop, k: float, eps: float = 0.0, field=None,
     """
     h = geometry.height(u)
     _require_nonconstant(u)
+    return _residual(u, h, _length(u.deriv(1), h), _prescribed(u, k, eps, field), geometry)
+
+
+def _residual(u: Loop, h: np.ndarray, length: float, kappa: np.ndarray,
+              geometry: Geometry) -> np.ndarray:
     up, upp = u.deriv(1), u.deriv(2)
-    length = _length(up, h)
-    kappa = _prescribed(u, k, eps, field)
     core = -upp + geometry.connection(up, h) + length * kappa[:, None] * rot90(up)
     return core / h[:, None] ** 2
 
@@ -371,8 +374,11 @@ def killing_integrals(u: Loop, k: float, eps: float = 0.0, field=None,
     the plane); all three vanish on exact solutions.
     """
     h = geometry.height(u)
+    return _killing(u, _prescribed(u, k, eps, field) / h**2, geometry)
+
+
+def _killing(u: Loop, w: np.ndarray, geometry: Geometry) -> np.ndarray:
     iup = rot90(u.deriv(1))
-    w = _prescribed(u, k, eps, field) / h**2
     return np.array([(w * (x * iup).sum(axis=1)).mean() for x in geometry.killing(u.samples)])
 
 
@@ -405,14 +411,17 @@ def verify_solution(u: Loop, k: float, eps: float = 0.0, field=None,
     winding multiplicity, and the embeddedness flag.
     """
     try:
-        length = loop_length(u, geometry)
-        res = float(np.abs(residual(u, k, eps, field, geometry)).max())
-        speed = u.deriv(1)
-        profile = np.hypot(speed[:, 0], speed[:, 1]) / geometry.height(u)
+        h = geometry.height(u)
+        _require_nonconstant(u)
+        up = u.deriv(1)
+        length = _length(up, h)
+        target = _prescribed(u, k, eps, field)  # the one field evaluation
+        res = float(np.abs(_residual(u, h, length, target, geometry)).max())
+        profile = np.hypot(up[:, 0], up[:, 1]) / h
         speed_defect = float(np.abs(profile - length).max())
-        kappa = geodesic_curvature(u, geometry)
-        curvature_defect = float(np.abs(kappa - _prescribed(u, k, eps, field)).max())
-        killing = killing_integrals(u, k, eps, field, geometry)
+        kappa = _curvature(u, check_regular(u), h, geometry)
+        curvature_defect = float(np.abs(kappa - target).max())
+        killing = _killing(u, target / h**2, geometry)
         return VerifyReport(
             residual_sup=res,
             speed_defect=speed_defect,

@@ -12,9 +12,11 @@ is a Euclidean disk, so F reduces to a fixed-domain integral
     z^k = (z1, k*R_k*z2),
 
 evaluated with a Gauss-Legendre (radial) x uniform (angular) tensor rule.
-Differentiation under the integral gives the gradient.  The critical-point
-search (grid scan + Newton refinement + Hessian classification), the seed
-choice and value refinement take a ``Geometry`` record for the flat plane.
+By Reynolds' rule for the moving disk, grad F is a periodic integral of K
+over its boundary circle, taken by a trapezoid rule that checks itself per
+center; no derivative of K is needed.  The critical-point search (grid
+scan + Newton refinement + Hessian classification), the seed choice and
+value refinement take a ``Geometry`` record for the flat plane.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from ._quad import disk_rule
 from .errors import NoCritical, QuadratureFailure
-from .fields import RegionBox, as_field, eval_field, grad_field
+from .fields import RegionBox, as_field, eval_field
 from .halfplane import HALFPLANE, Geometry, as_point
 from .loops import curvature_radius
 
@@ -41,18 +43,14 @@ DEGENERATE_RTOL = 1e-7  # |eigenvalue| below this times ||Hess|| counts as zero
 # ---------------------------------------------------------------------------
 
 
-def _disk_nodes(k: float, nr: int, na: int):
-    rk = curvature_radius(k)
-    q, w = disk_rule(nr, na)
-    return q * rk, w * rk**2, k * rk
-
-
 def melnikov_grid(z1, z2, k: float, field, nr: int = NR_DEFAULT, na: int = NA_DEFAULT):
     """F on arrays of centers (vectorized over z, fixed quadrature order)."""
     expr = as_field(field)
     z1 = np.asarray(z1, dtype=float).ravel()
     z2 = np.asarray(z2, dtype=float).ravel()
-    q, w, c = _disk_nodes(k, nr, na)
+    rk = curvature_radius(k)
+    q, w = disk_rule(nr, na)
+    q, w, c = q * rk, w * rk**2, k * rk
     out = np.empty(z1.size)
     weight = w / (q[:, 1] + c) ** 2
     for start in range(0, z1.size, 256):
@@ -88,31 +86,55 @@ def melnikov_value(
     )
 
 
-def melnikov_gradient_grid(z1, z2, k: float, field, nr: int = NR_DEFAULT, na: int = NA_DEFAULT):
-    """(dF/dz1, dF/dz2) on arrays of centers, by differentiating the integrand."""
+def melnikov_gradient_grid(z1, z2, k: float, field, na: int = NA_DEFAULT):
+    """(dF/dz1, dF/dz2) on arrays of centers, as an integral over the disk's boundary."""
+    rk = curvature_radius(k)
+    return _boundary_gradient(z1, z2, field, na, lift=k * rk, r0=0.0, r1=rk, curved=True)
+
+
+def melnikov_gradient(z, k: float, field, na: int = NA_DEFAULT) -> np.ndarray:
+    zp = as_point(z)
+    g1, g2 = melnikov_gradient_grid([zp.z1], [zp.z2], k, field, na)
+    return np.array([g1[0], g2[0]])
+
+
+def _boundary_gradient(z1, z2, field, na, lift, r0, r1, curved):
+    """grad F for the disks with center (z1, lift*z2) and radius r = r0 + r1*z2.
+
+    Moving z moves the boundary point p = center + r*nu with normal
+    velocity (nu1, lift*nu2 + r1), so by Reynolds' rule grad F is the
+    integral of K(p) (nu1, lift*nu2 + r1) r dphi, times p2**-2 if ``curved``.
+    The trapezoid rule on nb = 2*na nodes holds the nb/2 rule on its even
+    nodes; a center whose two sums differ by more than 0.1*GRAD_TOL*max(1,
+    |grad F|) is redone alone on 2*nb nodes, up to 16*na.  So each result
+    depends on its own center only.
+    """
     expr = as_field(field)
-    d1, d2 = grad_field(expr)
     z1 = np.asarray(z1, dtype=float).ravel()
     z2 = np.asarray(z2, dtype=float).ravel()
-    q, w, c = _disk_nodes(k, nr, na)
-    weight = w / (q[:, 1] + c) ** 2
-    g1 = np.empty(z1.size)
-    g2 = np.empty(z1.size)
+    grad = np.empty((z1.size, 2))
     for start in range(0, z1.size, 256):
-        sl = slice(start, min(start + 256, z1.size))
-        p1 = z1[None, sl] + np.outer(q[:, 0], z2[sl])
-        p2 = np.outer(q[:, 1] + c, z2[sl])
-        k1 = eval_field(d1, p1, p2)
-        k2 = eval_field(d2, p1, p2)
-        g1[sl] = weight @ k1
-        g2[sl] = weight @ (k1 * q[:, 0:1] + k2 * (q[:, 1:2] + c))
-    return g1, g2
-
-
-def melnikov_gradient(z, k: float, field, nr: int = NR_DEFAULT, na: int = NA_DEFAULT) -> np.ndarray:
-    zp = as_point(z)
-    g1, g2 = melnikov_gradient_grid([zp.z1], [zp.z2], k, field, nr, na)
-    return np.array([g1[0], g2[0]])
+        todo, nb = np.arange(start, min(start + 256, z1.size)), 2 * na
+        while todo.size:
+            theta = 2.0 * np.pi * np.arange(nb) / nb
+            n1, n2 = np.cos(theta), np.sin(theta)
+            r = (r0 + r1 * z2[todo])[:, None]
+            p2 = lift * z2[todo, None] + r * n2
+            f = eval_field(expr, z1[todo, None] + r * n1, p2) * r / (p2**2 if curved else 1.0)
+            terms = (f * n1, f * (lift * n2 + r1))
+            g = np.column_stack([t.sum(axis=1) for t in terms]) * (2.0 * np.pi / nb)
+            half = np.column_stack([t[:, ::2].sum(axis=1) for t in terms]) * (4.0 * np.pi / nb)
+            err = np.hypot(*(g - half).T)
+            ok = err <= 0.1 * GRAD_TOL * np.maximum(1.0, np.hypot(*g.T))
+            grad[todo[ok]] = g[ok]
+            if nb >= 16 * na and not ok.all():
+                i = int(np.argmin(ok))
+                raise QuadratureFailure(
+                    f"gradient quadrature unresolved at center ({z1[todo[i]]:.6g}, "
+                    f"{z2[todo[i]]:.6g}): halving estimate {err[i]:.3e} with {nb} nodes"
+                )
+            todo, nb = todo[~ok], 2 * nb
+    return grad[:, 0], grad[:, 1]
 
 
 @dataclass(frozen=True)
@@ -318,7 +340,7 @@ def find_critical(
         return value_grid(z1, z2, k, expr, nr, na)
 
     def grad_grid_fn(z1, z2):
-        return gradient_grid(z1, z2, k, expr, nr, na)
+        return gradient_grid(z1, z2, k, expr, na)
 
     floor = 0.5 * region.z2min if geometry.curved else -np.inf
     return search_critical_points(value_grid_fn, grad_grid_fn, region, grid, lower_z2=floor)

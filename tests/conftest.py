@@ -1,7 +1,21 @@
 import numpy as np
 import pytest
 
-from hyploop.loops import Loop
+from hyploop._quad import disk_rule
+from hyploop.fields import as_field, eval_field, grad_field
+from hyploop.loops import Loop, curvature_radius
+
+TEST_FIELDS = [
+    "1",
+    "z1^2 + (z2-2)^2",
+    "tanh(z1)",
+    "sin(z1) * cos(z2)",
+    "exp(-z1^2 - (z2-2)^2)",
+    "atan(z1 * z2)",
+    "sqrt(z2) + z1 / z2",
+    "log(z2) - z1^3 / 7",
+    "2 ^ z2",
+]
 
 
 def band_limited_loop(rng, n=256, modes=6, amp=0.05, radius=0.5, center=(0.0, 2.0)):
@@ -41,6 +55,33 @@ def count_ffts(monkeypatch) -> dict:
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+def interior_gradient(z1, z2, k, field, nr, na, curved=True):
+    """Oracle for grad F: the symbolic gradient of K integrated over the disk.
+
+    Differentiation under the fixed-domain integral on the nr x na
+    Gauss-Legendre x uniform rule, one center at a time; ``curved`` picks
+    the hyperbolic disk (weight p2**-2), else the flat disk D_{1/k}(z).
+    """
+    d1, d2 = grad_field(as_field(field))
+    q, w = disk_rule(nr, na)
+    if curved:
+        rk = curvature_radius(k)
+        q, w, lift = q * rk, w * rk**2, k * rk
+        w = w / (q[:, 1] + lift) ** 2
+    else:
+        q, w = q / k, w / k**2
+    out = []
+    for a, b in zip(np.ravel(z1), np.ravel(z2)):
+        if curved:
+            p1, p2 = a + q[:, 0] * b, (q[:, 1] + lift) * b
+            k1, k2 = eval_field(d1, p1, p2), eval_field(d2, p1, p2)
+            out.append((w @ k1, w @ (k1 * q[:, 0] + k2 * (q[:, 1] + lift))))
+        else:
+            p1, p2 = a + q[:, 0], b + q[:, 1]
+            out.append((w @ eval_field(d1, p1, p2), w @ eval_field(d2, p1, p2)))
+    return np.array(out).T
 
 
 @pytest.fixture

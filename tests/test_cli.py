@@ -76,6 +76,21 @@ class TestMelnikovCommand:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert out1.replace("a.csv", "b.csv") == out2
 
+    def test_unresolved_gradient_quadrature_exits_4(self, capsys, tmp_path):
+        # F has its minimum on z1 = 0.3, the kink of K: every boundary circle
+        # that crosses it gives a kinked integrand, whose trapezoid error
+        # decays only like nb**-2, so the scan fails instead of finding no zero
+        out_csv = tmp_path / "m.csv"
+        code, out, err = run(
+            capsys, "melnikov", "--k", "2", "--field", "abs(z1 - 0.3) + (z2-2)^2",
+            "--box", "-0.6,0.6,1.2,2.8", "--grid", "12", "--out", str(out_csv),
+        )
+        assert code == 4 and out == "" and not out_csv.exists()
+        assert err.count("\n") == 1
+        assert err.startswith(
+            "hyploop: numerical failure: QuadratureFailure: gradient quadrature unresolved at center"
+        )
+
     @pytest.mark.parametrize(
         "command,module,value_name,grad_name,box",
         [

@@ -11,17 +11,7 @@ from hyploop.fields import (
     parse_field,
 )
 
-TEST_FIELDS = [
-    "1",
-    "z1^2 + (z2-2)^2",
-    "tanh(z1)",
-    "sin(z1) * cos(z2)",
-    "exp(-z1^2 - (z2-2)^2)",
-    "atan(z1 * z2)",
-    "sqrt(z2) + z1 / z2",
-    "log(z2) - z1^3 / 7",
-    "2 ^ z2",
-]
+from conftest import TEST_FIELDS
 
 
 class TestParsing:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hyploop import loops
 from hyploop.errors import DegenerateLoop
 from hyploop.fields import RegionBox, eval_field, parse_field
-from hyploop.halfplane import christoffel, rot90, translate
+from hyploop.euclidean import FLAT
+from hyploop.halfplane import HALFPLANE, christoffel, geodesic_curvature, rot90, translate
 from hyploop.loops import (
     Loop,
     area_const,
@@ -16,6 +17,7 @@ from hyploop.loops import (
     dot_mean,
     energy,
     is_embedded,
+    killing_integrals,
     load_loop,
     loop_length,
     reference_loop,
@@ -298,6 +300,27 @@ class TestVerify:
         assert abs(a.speed_defect - b.speed_defect) < 1e-10
         assert abs(a.curvature_defect - b.curvature_defect) < 1e-10
         assert a.mu == b.mu and a.embedded == b.embedded
+
+    @pytest.mark.parametrize("geometry", [HALFPLANE, FLAT], ids=["halfplane", "flat"])
+    def test_one_field_evaluation_same_numbers(self, geometry, rng, monkeypatch):
+        u, k, eps = band_limited_loop(rng), 2.0, 0.01
+        calls = []
+
+        def counted(*args, _fn=loops.eval_field):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(loops, "eval_field", counted)
+        rep = verify_solution(u, k, eps, QUADRATIC, geometry)
+        assert len(calls) == 1
+        # bit for bit what the separate functionals give
+        target = k + eps * eval_field(QUADRATIC, u.samples[:, 0], u.samples[:, 1])
+        speed = np.hypot(*u.deriv(1).T) / geometry.height(u)
+        assert rep.length == loop_length(u, geometry)
+        assert rep.residual_sup == np.abs(residual(u, k, eps, QUADRATIC, geometry)).max()
+        assert rep.speed_defect == np.abs(speed - rep.length).max()
+        assert rep.curvature_defect == np.abs(geodesic_curvature(u, geometry) - target).max()
+        assert np.array_equal(rep.killing, killing_integrals(u, k, eps, QUADRATIC, geometry))
 
     def test_winding_of_reference(self):
         assert winding_number(reference_loop(3.0, 64)) == 1

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from hyploop.errors import NoCritical
+from hyploop import melnikov
+from hyploop.errors import NoCritical, QuadratureFailure
+from hyploop.euclidean import melnikov_gradient_grid_euclid
 from hyploop.fields import RegionBox, parse_field
 from hyploop.halfplane import translate
 from hyploop.loops import curvature_radius, reference_loop, signed_area
@@ -10,9 +12,12 @@ from hyploop.melnikov import (
     asymptotic_check,
     find_critical,
     melnikov_gradient,
+    melnikov_gradient_grid,
     melnikov_grid,
     melnikov_value,
 )
+
+from conftest import TEST_FIELDS, interior_gradient
 
 QUADRATIC = parse_field("z1^2 + (z2-2)^2")
 
@@ -108,6 +113,85 @@ class TestGradient:
         for z2 in (0.7, 1.5, 3.0):
             g = melnikov_gradient((0.0, z2), 2.0, "z1^2")
             assert abs(g[0]) < 1e-12
+
+
+PLANES = {"halfplane": (melnikov_gradient_grid, True),
+          "flat": (melnikov_gradient_grid_euclid, False)}
+TRANSCENDENTAL = "exp(-z1^2)*sin(z2) + tanh(z1*z2)"
+
+
+def count_points(monkeypatch) -> list:
+    """Record the shape of every field evaluation the gradient kernel makes."""
+    shapes = []
+
+    def counted(expr, z1, z2, _fn=melnikov.eval_field):
+        shapes.append(np.shape(z1))
+        return _fn(expr, z1, z2)
+
+    monkeypatch.setattr(melnikov, "eval_field", counted)
+    return shapes
+
+
+class TestBoundaryGradient:
+    """The boundary-integral gradient against the interior oracle, and its self-check."""
+
+    @pytest.mark.parametrize("plane", PLANES)
+    @pytest.mark.parametrize("text", TEST_FIELDS)
+    def test_matches_refined_interior_oracle(self, plane, text, rng):
+        # 128 x 512, not the default 64 x 128, which is off by 9e-7 at k = 1.5
+        # on the transcendental landscape field
+        grad_grid, curved = PLANES[plane]
+        for k in (1.5, 2.0, 8.0):
+            z1, z2 = rng.uniform(-0.6, 0.6, 3), rng.uniform(1.0, 2.5, 3)
+            got = np.array(grad_grid(z1, z2, k, text))
+            want = interior_gradient(z1, z2, k, text, 128, 512, curved)
+            scale = np.maximum(1.0, np.hypot(*want))
+            assert np.all(np.abs(got - want) <= 1e-13 * scale), (k, got - want)
+
+    def test_resolves_the_landscape_at_small_k(self):
+        # at k = 1.2 the boundary circle comes close to the field's complex
+        # singularities: some centers double up to 2048 nodes
+        g1, g2 = RegionBox(-0.6, 0.6, 1.2, 2.8).grid(4)
+        z1, z2 = g1.ravel(), g2.ravel()
+        got = np.array(melnikov_gradient_grid(z1, z2, 1.2, TRANSCENDENTAL))
+        want = interior_gradient(z1, z2, 1.2, TRANSCENDENTAL, 256, 1024)
+        assert np.abs(got - want).max() <= 1e-10
+        coarse = interior_gradient(z1, z2, 1.2, TRANSCENDENTAL, 64, 128)
+        assert np.abs(coarse - want).max() > 1e-4  # the old default rule
+
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_error_estimate_costs_no_field_points(self, plane, monkeypatch):
+        grad_grid, _ = PLANES[plane]
+        shapes = count_points(monkeypatch)
+        grad_grid([0.1, -0.2, 0.3], [1.5, 1.8, 2.1], 2.0, QUADRATIC)
+        assert shapes == [(3, 2 * melnikov.NA_DEFAULT)]
+
+    def test_only_an_unresolved_center_doubles(self, monkeypatch):
+        # the spike at z1 = 5 needs 1024 nodes; the center at 0 sees K = 0
+        text, z1, z2 = "exp(-1000*(z1-5)^2)", [0.0, 5.0], [1.5, 1.5]
+        shapes = count_points(monkeypatch)
+        both = np.array(melnikov_gradient_grid(z1, z2, 2.0, text))
+        assert shapes == [(2, 256), (1, 512), (1, 1024)]
+        alone = np.column_stack([melnikov_gradient_grid([a], [b], 2.0, text) for a, b in zip(z1, z2)])
+        assert np.array_equal(both, alone)
+
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_batch_and_single_centers_agree_bitwise(self, plane):
+        # the scanned CSV and Newton's one-center calls see the same numbers
+        grad_grid, _ = PLANES[plane]
+        g1, g2 = RegionBox(-0.6, 0.6, 1.2, 2.8).grid(5)
+        z1, z2 = g1.ravel(), g2.ravel()
+        batch = np.array(grad_grid(z1, z2, 2.0, TRANSCENDENTAL))
+        single = np.column_stack([grad_grid([a], [b], 2.0, TRANSCENDENTAL) for a, b in zip(z1, z2)])
+        assert np.array_equal(batch, single)
+
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_kink_on_the_boundary_fails_at_the_cap(self, plane, monkeypatch):
+        grad_grid, _ = PLANES[plane]
+        shapes = count_points(monkeypatch)
+        with pytest.raises(QuadratureFailure, match=r"center \(0, 2\): halving estimate"):
+            grad_grid([0.0], [2.0], 2.0, "abs(z1 - 0.3)")
+        assert [s[1] for s in shapes] == [256, 512, 1024, 2048]
 
 
 class TestCriticalSearch:
