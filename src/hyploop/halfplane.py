@@ -170,11 +170,8 @@ def geodesic_curvature(u, geometry: Geometry = HALFPLANE) -> np.ndarray:
     positively oriented circles.  Raises DegenerateLoop when the loop is
     not regular enough to divide by |u'|**3.
     """
-    return _curvature(u, check_regular(u), geometry.height(u), geometry)
-
-
-def _curvature(u, sp: np.ndarray, h: np.ndarray, geometry: Geometry) -> np.ndarray:
-    """Geodesic curvature from the speeds |u'| and the heights h of a regular loop."""
+    sp = check_regular(u)
     up, upp = u.deriv(1), u.deriv(2)
+    h = geometry.height(u)
     cov = upp - geometry.connection(up, h)
     return h * (cov * rot90(up)).sum(axis=1) / sp**3

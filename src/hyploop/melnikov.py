@@ -101,13 +101,12 @@ def melnikov_gradient(z, k: float, field, na: int = NA_DEFAULT) -> np.ndarray:
 def _boundary_gradient(z1, z2, field, na, lift, r0, r1, curved):
     """grad F for the disks with center (z1, lift*z2) and radius r = r0 + r1*z2.
 
-    Moving z moves the boundary point p = center + r*nu with normal
-    velocity (nu1, lift*nu2 + r1), so by Reynolds' rule grad F is the
-    integral of K(p) (nu1, lift*nu2 + r1) r dphi, times p2**-2 if ``curved``.
-    The trapezoid rule on nb = 2*na nodes holds the nb/2 rule on its even
-    nodes; a center whose two sums differ by more than 0.1*GRAD_TOL*max(1,
-    |grad F|) is redone alone on 2*nb nodes, up to 16*na.  So each result
-    depends on its own center only.
+    By Reynolds' rule grad F is the integral of K(p) (nu1, lift*nu2 + r1) r dphi
+    over p = center + r*nu, times p2**-2 if ``curved``.  A constant K gives 0,
+    so each center's mean of K is taken off first.  The trapezoid sum on nb
+    nodes is checked against the nb/2 sum on its even nodes: a center off by
+    more than both 0.1*GRAD_TOL*max(1, |grad F|) and the rounding of K is
+    redone alone on 2*nb nodes, from 2*na up to 16*na.
     """
     expr = as_field(field)
     z1 = np.asarray(z1, dtype=float).ravel()
@@ -120,12 +119,15 @@ def _boundary_gradient(z1, z2, field, na, lift, r0, r1, curved):
             n1, n2 = np.cos(theta), np.sin(theta)
             r = (r0 + r1 * z2[todo])[:, None]
             p2 = lift * z2[todo, None] + r * n2
-            f = eval_field(expr, z1[todo, None] + r * n1, p2) * r / (p2**2 if curved else 1.0)
+            kv = eval_field(expr, z1[todo, None] + r * n1, p2)
+            scale = r / (p2**2 if curved else 1.0)
+            f = (kv - kv.mean(axis=1, keepdims=True)) * scale
             terms = (f * n1, f * (lift * n2 + r1))
             g = np.column_stack([t.sum(axis=1) for t in terms]) * (2.0 * np.pi / nb)
             half = np.column_stack([t[:, ::2].sum(axis=1) for t in terms]) * (4.0 * np.pi / nb)
             err = np.hypot(*(g - half).T)
-            ok = err <= 0.1 * GRAD_TOL * np.maximum(1.0, np.hypot(*g.T))
+            noise = 4e-16 * (1.0 + lift + r1) * (2.0 * np.pi / nb) * np.abs(kv * scale).sum(axis=1)
+            ok = err <= np.maximum(0.1 * GRAD_TOL * np.maximum(1.0, np.hypot(*g.T)), noise)
             grad[todo[ok]] = g[ok]
             if nb >= 16 * na and not ok.all():
                 i = int(np.argmin(ok))
@@ -219,8 +221,8 @@ def _classify(hess: np.ndarray) -> str:
     return "saddle"
 
 
-def _newton_refine(grad_fn, z0, lower_z2, bounds):
-    """Newton on the gradient; a root only counts inside the inflated region.
+def _newton_refine(grad_fn, z0, lower_z2, bounds, tol):
+    """Newton on the gradient down to ``tol``; a root only counts inside the inflated region.
 
     Asymptotically flat fields drive Newton far outside the box, where the
     gradient decays below tolerance without an actual zero; such escapes
@@ -230,7 +232,7 @@ def _newton_refine(grad_fn, z0, lower_z2, bounds):
     z = np.asarray(z0, dtype=float).copy()
     for _ in range(NEWTON_MAXIT):
         g = grad_fn(z)
-        if np.hypot(*g) < GRAD_TOL:
+        if np.hypot(*g) < tol:
             break
         h = 1e-5 * max(1.0, float(np.hypot(*z)))
         jac = _fd_jacobian(grad_fn, z, h)
@@ -245,7 +247,7 @@ def _newton_refine(grad_fn, z0, lower_z2, bounds):
         z = z + step
         if not (lo1 <= z[0] <= hi1 and lo2 <= z[1] <= hi2):
             return z, False
-    return z, bool(np.hypot(*grad_fn(z)) < GRAD_TOL)
+    return z, bool(np.hypot(*grad_fn(z)) < tol)
 
 
 def search_critical_points(
@@ -274,6 +276,8 @@ def search_critical_points(
     )
 
     vscale = max(1.0, float(np.abs(values).max()))
+    # grad F is resolved only to the rounding of K, about 1e-16 |F|: Newton stops there
+    tol = max(GRAD_TOL, 1e-14 * vscale)
     if gnorm.max() <= 1e-12 * vscale:
         return CriticalSearch((), "F constant, no critical point", interior_min, interior_max,
                               landscape)
@@ -302,7 +306,7 @@ def search_critical_points(
     points: list[MelnikovSample] = []
     for i, j in np.argwhere(neighborhood):
         z0 = np.array([g1[i, j], g2[i, j]])
-        z, ok = _newton_refine(grad_fn, z0, lower_z2, bounds)
+        z, ok = _newton_refine(grad_fn, z0, lower_z2, bounds, tol)
         if not ok:
             continue
         if any(np.hypot(*(z - np.asarray(p.z))) < 1e-6 for p in points):

@@ -164,8 +164,28 @@ class TestSignedArea:
         u = band_limited_loop(rng)
         expr = parse_field(text)
         default = signed_area(u, expr)
-        for weights in ((1.0, 0.0), (0.0, 1.0), (0.3, 0.7)):
+        for weights in ((0.5, 0.5), (0.0, 1.0), (0.3, 0.7)):
             assert signed_area(u, expr, weights=weights) == pytest.approx(default, abs=1e-10)
+
+    def test_default_gauge_takes_one_integral(self, monkeypatch):
+        # on a loop that 256 samples under-resolve (k = 1.3, scaled by 2.2)
+        # the default gauge is within 2e-9 of the 2048-sample value, where
+        # the even split is off by 3.4e-7
+        def loop(n):
+            return Loop(reference_loop(1.3, n).samples * 2.2 + [0.4, 0.0])
+
+        text = "exp(-z1^2)*sin(z2) + tanh(z1*z2)"
+        ref = signed_area(loop(2048), text)
+        assert abs(signed_area(loop(256), text, weights=(0.5, 0.5)) - ref) > 1e-7
+        calls = []
+
+        def counted(*args, _fn=loops.adaptive_gauss_legendre, **kwargs):
+            calls.append(args)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(loops, "adaptive_gauss_legendre", counted)
+        assert abs(signed_area(loop(256), text) - ref) < 5e-9
+        assert len(calls) == 1
 
     def test_shrinking_circles(self):
         # enclosed weighted area vanishes with the loop

@@ -4,9 +4,9 @@ from scipy import integrate
 
 from hyploop import melnikov
 from hyploop.errors import NoCritical, QuadratureFailure
-from hyploop.euclidean import melnikov_gradient_grid_euclid
+from hyploop.euclidean import FLAT, melnikov_gradient_grid_euclid
 from hyploop.fields import RegionBox, parse_field
-from hyploop.halfplane import translate
+from hyploop.halfplane import HALFPLANE, translate
 from hyploop.loops import curvature_radius, reference_loop, signed_area
 from hyploop.melnikov import (
     asymptotic_check,
@@ -186,12 +186,28 @@ class TestBoundaryGradient:
         assert np.array_equal(batch, single)
 
     @pytest.mark.parametrize("plane", PLANES)
-    def test_kink_on_the_boundary_fails_at_the_cap(self, plane, monkeypatch):
+    @pytest.mark.parametrize("text", ["abs(z1 - 0.3)", "1e6 + abs(z1 - 0.3)"])
+    def test_kink_on_the_boundary_fails_at_the_cap(self, plane, text, monkeypatch):
         grad_grid, _ = PLANES[plane]
         shapes = count_points(monkeypatch)
         with pytest.raises(QuadratureFailure, match=r"center \(0, 2\): halving estimate"):
-            grad_grid([0.0], [2.0], 2.0, "abs(z1 - 0.3)")
+            grad_grid([0.0], [2.0], 2.0, text)
         assert [s[1] for s in shapes] == [256, 512, 1024, 2048]
+
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_large_offset_adds_no_rounding(self, plane, monkeypatch):
+        # a constant drops out with each center's mean of K: the pure offset
+        # gives exactly zero, and no center doubles for the rounding of 1e6
+        grad_grid, _ = PLANES[plane]
+        z1, z2 = [0.1, -0.2, 0.3], [1.5, 1.8, 2.1]
+        want = np.array(grad_grid(z1, z2, 2.0, QUADRATIC))
+        shapes = count_points(monkeypatch)
+        assert not np.any(grad_grid(z1, z2, 2.0, "1e6"))
+        shifted = np.array(grad_grid(z1, z2, 2.0, "1e6 + z1^2 + (z2-2)^2"))
+        scaled = np.array(grad_grid(z1, z2, 2.0, "1e6*(1 + 1e-3*(z1^2 + (z2-2)^2))"))
+        assert shapes == [(3, 256)] * 3
+        assert np.abs(shifted - want).max() < 1e-10
+        assert np.abs(scaled - 1e3 * want).max() < 1e-10
 
 
 class TestCriticalSearch:
@@ -228,6 +244,17 @@ class TestCriticalSearch:
         assert search.points[0].classification == "max"
         assert search.points[0].z[1] == pytest.approx(np.sqrt(3), abs=1e-4)
         assert search.interior_max
+
+    @pytest.mark.parametrize("geometry, zstar", [(HALFPLANE, (0.0, np.sqrt(3.0))), (FLAT, (0.0, 2.0))])
+    def test_large_offset_finds_the_same_point(self, geometry, zstar):
+        # grad F is resolved only to the rounding of K, about 1e-16 |F|, and
+        # Newton stops there; a constant field of any size is still constant
+        search = find_critical(2.0, "1e6", self.BOX, grid=8, geometry=geometry)
+        assert search.points == () and "constant" in search.note
+        for text in ("1e6 + z1^2 + (z2-2)^2", "1e6*(1 + 1e-3*(z1^2 + (z2-2)^2))"):
+            search = find_critical(2.0, text, self.BOX, grid=12, geometry=geometry)
+            assert [p.classification for p in search.points] == ["min"]
+            assert np.hypot(*np.subtract(search.points[0].z, zstar)) < 1e-8
 
     def test_monotone_field_has_no_zero(self):
         search = find_critical(2.0, "tanh(z1)", self.BOX, grid=8)

@@ -1,30 +1,35 @@
 """Run the benchmark on two checkouts in alternating pairs and write a BENCH file.
 
-    python3 tools/bench_record.py PARENT_DIR CHANGE_DIR --out BENCH_7.json \
-        --pairs 10 --seed 801 --seconds 30
+    python3 tools/bench_record.py PARENT_DIR CHANGE_DIR --out BENCH_7.json --seed 901
 
 PARENT_DIR and CHANGE_DIR are checkouts (for example `git archive` copies)
-that each hold `perfbench/`.  For every workload, pair i runs
-`perfbench/run.py --trace 0` of both checkouts with seed SEED + i, the
+that each hold `perfbench/` and `BENCHMARK.json`.  For every workload, pair
+i of ten runs `perfbench/run.py --trace 0` of both checkouts for the
+`run_seconds` of the change's `BENCHMARK.json`, with seed SEED + i, the
 parent first in even pairs and the change first in odd ones.  Then each
-side makes one traced run (`--trace 1`) per workload at --trace-seed.  The
-output holds every run, each side's median and first/third quartiles of the
-end-to-end metrics, the pairs the change won, and the traced per-layer
-figures.  Only the standard library is used; nothing runs in parallel.
+side makes one traced run (`--trace 1`) per workload at seed 1.  The output
+holds every run, each side's median and first/third quartiles of the
+end-to-end metrics, the pairs the change won, the traced per-layer figures
+and a note naming the cores, Python and numpy the timings come from.  Only
+the standard library is used; nothing runs in parallel.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
+from importlib.metadata import version
 from pathlib import Path
 
 WORKLOADS = ("landscape", "solve", "reduced_map")
 END_TO_END = ("op_p50_s", "setup_s", "peak_rss_mb")
+PAIRS = 10
+TRACE_SEED = 1
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -48,31 +53,29 @@ def main() -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=801)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--trace-seed", type=int, default=1)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--note", default="")
+    parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args()
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    seconds = float(json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"])
     record = {
-        "note": args.note,
+        "note": (f"wall-clock timings on {os.cpu_count()} CPU cores, Python "
+                 f"{platform.python_version()}, numpy {version('numpy')}; on a machine "
+                 "shared with other work they are indicative only"),
         "python": platform.python_version(),
-        "seeds": [args.seed + i for i in range(args.pairs)],
-        "run_seconds": args.seconds,
-        "trace_seed": args.trace_seed,
+        "seeds": [args.seed + i for i in range(PAIRS)],
+        "run_seconds": seconds,
+        "trace_seed": TRACE_SEED,
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over the runs",
         "workloads": {},
     }
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run(sides[side], workload, seed, args.seconds, 0)
+                result = run(sides[side], workload, seed, seconds, 0)
                 runs[side].append({
                     "seed": seed, "correct": result["correct"],
                     "attempted": result["attempted"], "failed": result["failed"],
@@ -89,7 +92,7 @@ def main() -> int:
             }
         entry["traced"] = {
             side: {name: m["value"] for name, m in
-                   run(path, workload, args.trace_seed, args.seconds, 1)["metrics"].items()}
+                   run(path, workload, TRACE_SEED, seconds, 1)["metrics"].items()}
             for side, path in sides.items()
         }
         record["workloads"][workload] = entry
