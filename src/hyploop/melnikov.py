@@ -15,8 +15,12 @@ evaluated with a Gauss-Legendre (radial) x uniform (angular) tensor rule.
 By Reynolds' rule for the moving disk, grad F is a periodic integral of K
 over its boundary circle, taken by a trapezoid rule that checks itself per
 center; no derivative of K is needed.  The critical-point search (grid
-scan + Newton refinement + Hessian classification), the seed choice and
-value refinement take a ``Geometry`` record for the flat plane.
+scan + Newton refinement + Hessian classification) works from grad F and
+evaluates F only at the node of largest |grad F|, for its rounding scale,
+and at each point it reports.  ``find_critical`` adds F at every node, the
+landscape of ``hyploop melnikov``; ``critical_point``, the seed of a solve,
+does not.  Search, seed choice and value refinement take a ``Geometry``
+record for the flat plane.
 """
 
 from __future__ import annotations
@@ -184,7 +188,8 @@ class CriticalSearch:
     ``interior_min``/``interior_max`` record whether the grid values attain
     a strict interior minimum/maximum (the elementary stability evidence);
     both are sampled statements, not certificates.  ``grid`` is the scanned
-    landscape (z1, z2, F, dF1, dF2) as flat arrays in ``region.grid`` order.
+    landscape (z1, z2, F, dF1, dF2) as flat arrays in ``region.grid`` order;
+    a search without the landscape leaves out F and claims neither extremum.
     """
 
     points: tuple[MelnikovSample, ...]
@@ -250,44 +255,23 @@ def _newton_refine(grad_fn, z0, lower_z2, bounds, tol):
     return z, bool(np.hypot(*grad_fn(z)) < tol)
 
 
-def search_critical_points(
-    value_grid_fn, grad_grid_fn, region: RegionBox, grid: int = 32,
-    lower_z2: float = 0.0,
-) -> CriticalSearch:
-    """Grid scan of |grad F|, Newton refinement, and Hessian classification.
+def _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value):
+    """Newton from each grid-local minimum of |grad F| in the scan, then Hessian classification.
 
-    Seeds are grid-local minima of |grad F| visited in lexicographic
-    (z1, z2) order, so output order is deterministic.  ``lower_z2`` keeps
-    Newton iterates above the half-plane floor (pass -inf for the plane).
+    max(1, |top_value|), F at the node of largest |grad F|, is the rounding scale.
     """
-    g1, g2 = region.grid(grid)
+    g1, g2, d1, d2, _ = scan
     shape = g1.shape
-    z1, z2 = g1.ravel(), g2.ravel()
-    flat, (d1, d2) = value_grid_fn(z1, z2), grad_grid_fn(z1, z2)
-    landscape = (z1, z2, flat, d1, d2)
-    values = flat.reshape(shape)
     gnorm = np.hypot(d1, d2).reshape(shape)
-
-    interior_min = bool(
-        grid > 2 and values[1:-1, 1:-1].min() < _boundary(values).min()
-    )
-    interior_max = bool(
-        grid > 2 and values[1:-1, 1:-1].max() > _boundary(values).max()
-    )
-
-    vscale = max(1.0, float(np.abs(values).max()))
+    vscale = max(1.0, abs(float(top_value)))
     # grad F is resolved only to the rounding of K, about 1e-16 |F|: Newton stops there
     tol = max(GRAD_TOL, 1e-14 * vscale)
     if gnorm.max() <= 1e-12 * vscale:
-        return CriticalSearch((), "F constant, no critical point", interior_min, interior_max,
-                              landscape)
+        return (), "F constant, no critical point"
 
     def grad_fn(z):
         a, b = grad_grid_fn(np.array([z[0]]), np.array([z[1]]))
         return np.array([a[0], b[0]])
-
-    def value_fn(z):
-        return float(value_grid_fn(np.array([z[0]]), np.array([z[1]]))[0])
 
     padded = np.pad(gnorm, 1, constant_values=np.inf)
     neighborhood = np.ones(gnorm.shape, dtype=bool)
@@ -297,12 +281,9 @@ def search_critical_points(
                 continue
             neighborhood &= gnorm <= padded[1 + di : 1 + di + shape[0], 1 + dj : 1 + dj + shape[1]]
 
-    margin1 = 0.5 * (region.z1max - region.z1min)
-    margin2 = 0.5 * (region.z2max - region.z2min)
-    bounds = (
-        (region.z1min - margin1, region.z1max + margin1),
-        (max(lower_z2, region.z2min - margin2), region.z2max + margin2),
-    )
+    margin1, margin2 = 0.5 * (region.z1max - region.z1min), 0.5 * (region.z2max - region.z2min)
+    bounds = ((region.z1min - margin1, region.z1max + margin1),
+              (max(lower_z2, region.z2min - margin2), region.z2max + margin2))
     points: list[MelnikovSample] = []
     for i, j in np.argwhere(neighborhood):
         z0 = np.array([g1[i, j], g2[i, j]])
@@ -313,47 +294,74 @@ def search_critical_points(
             continue
         h = 1e-5 * max(1.0, float(np.hypot(*z)))
         hess = _fd_jacobian(grad_fn, z, h)
-        points.append(
-            MelnikovSample(
-                z=(float(z[0]), float(z[1])),
-                value=value_fn(z),
-                grad=grad_fn(z),
-                hess=hess,
-                classification=_classify(hess),
-            )
-        )
-    note = None if points else "no gradient zero found in the region"
-    return CriticalSearch(tuple(points), note, interior_min, interior_max, landscape)
+        value = float(value_grid_fn(np.array([z[0]]), np.array([z[1]]))[0])
+        points.append(MelnikovSample((float(z[0]), float(z[1])), value, grad_fn(z), hess,
+                                     _classify(hess)))
+    return tuple(points), None if points else "no gradient zero found in the region"
 
 
-def _boundary(values: np.ndarray) -> np.ndarray:
-    return np.concatenate(
-        (values[0, :], values[-1, :], values[1:-1, 0], values[1:-1, -1])
-    )
+def _scan(grad_grid_fn, region: RegionBox, grid: int):
+    """The nodes of ``region.grid``, grad F there (flat) and the index of the largest |grad F|."""
+    g1, g2 = region.grid(grid)
+    d1, d2 = grad_grid_fn(g1.ravel(), g2.ravel())
+    return g1, g2, d1, d2, int(np.argmax(np.hypot(d1, d2)))
+
+
+def search_critical_points(
+    value_grid_fn, grad_grid_fn, region: RegionBox, grid: int = 32,
+    lower_z2: float = 0.0,
+) -> CriticalSearch:
+    """Grid scan of |grad F|, Newton refinement, and Hessian classification: no F landscape.
+
+    F is evaluated only at the node of largest |grad F|, for the rounding
+    scale, and at each reported point: the result claims no interior
+    extremum and its ``grid`` is (z1, z2, dF1, dF2).  Seeds are grid-local
+    minima of |grad F| visited in lexicographic (z1, z2) order, so output
+    order is deterministic.  ``lower_z2`` keeps Newton iterates above the
+    half-plane floor (pass -inf for the plane).
+    """
+    g1, g2, d1, d2, top = scan = _scan(grad_grid_fn, region, grid)
+    z1, z2 = g1.ravel(), g2.ravel()
+    top_value = value_grid_fn(z1[top : top + 1], z2[top : top + 1])[0]
+    points, note = _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value)
+    return CriticalSearch(points, note, False, False, (z1, z2, d1, d2))
+
+
+def _callbacks(k, field, region, geometry, nr=NR_DEFAULT, na=NA_DEFAULT):
+    """F and grad F on arrays of centers in one plane, and the floor of the Newton iterates."""
+    value_grid, gradient_grid = geometry.disk or (melnikov_grid, melnikov_gradient_grid)
+    expr, floor = as_field(field), (0.5 * region.z2min if geometry.curved else -np.inf)
+    return (lambda z1, z2: value_grid(z1, z2, k, expr, nr, na),
+            lambda z1, z2: gradient_grid(z1, z2, k, expr, na), floor)
 
 
 def find_critical(
     k: float, field, region: RegionBox, grid: int = 32,
     nr: int = NR_DEFAULT, na: int = NA_DEFAULT, geometry: Geometry = HALFPLANE,
 ) -> CriticalSearch:
-    """Critical points of the disk average over a region box."""
-    expr = as_field(field)
-    value_grid, gradient_grid = geometry.disk or (melnikov_grid, melnikov_gradient_grid)
+    """Critical points of the disk average over a region box, and the F landscape.
 
-    def value_grid_fn(z1, z2):
-        return value_grid(z1, z2, k, expr, nr, na)
-
-    def grad_grid_fn(z1, z2):
-        return gradient_grid(z1, z2, k, expr, na)
-
-    floor = 0.5 * region.z2min if geometry.curved else -np.inf
-    return search_critical_points(value_grid_fn, grad_grid_fn, region, grid, lower_z2=floor)
+    F is evaluated at every grid node, which also gives the rounding scale of
+    the search, and at each reported point.
+    """
+    value_grid_fn, grad_grid_fn, floor = _callbacks(k, field, region, geometry, nr, na)
+    g1, g2, d1, d2, top = scan = _scan(grad_grid_fn, region, grid)
+    z1, z2 = g1.ravel(), g2.ravel()
+    flat = value_grid_fn(z1, z2)
+    points, note = _refine(value_grid_fn, grad_grid_fn, region, floor, scan, flat[top])
+    values = flat.reshape(g1.shape)
+    edge = np.concatenate((values[[0, -1]].ravel(), values[1:-1, [0, -1]].ravel()))
+    interior_min = bool(grid > 2 and values[1:-1, 1:-1].min() < edge.min())
+    interior_max = bool(grid > 2 and values[1:-1, 1:-1].max() > edge.max())
+    return CriticalSearch(points, note, interior_min, interior_max, (z1, z2, flat, d1, d2))
 
 
 def critical_point(k: float, field, region: RegionBox, grid: int = 32,
                    geometry: Geometry = HALFPLANE) -> tuple[float, float]:
-    """First non-degenerate critical point (deterministic order); raises NoCritical."""
-    points = find_critical(k, field, region, grid, geometry=geometry).require_points()
+    """First non-degenerate critical point, found without the F landscape; raises NoCritical."""
+    value_grid_fn, grad_grid_fn, floor = _callbacks(k, field, region, geometry)
+    search = search_critical_points(value_grid_fn, grad_grid_fn, region, grid, floor)
+    points = search.require_points()
     for p in points:
         if p.classification in ("min", "max", "saddle"):
             return p.z

@@ -50,6 +50,18 @@ class TestMelnikovCommand:
         assert report["points"] == []
         assert "constant" in report["note"]
 
+    @pytest.mark.parametrize("command", [
+        ("melnikov", "--box", "-0.6,0.6,1.2,2.8"),
+        ("solve", "--eps", "0.01", "--box", "-0.6,0.6,1.2,2.8"),
+        ("euclid", "solve", "--eps", "0.01", "--box", "-0.6,0.6,1.4,2.6"),
+    ])
+    def test_large_constant_field_has_no_critical_point(self, capsys, tmp_path, command):
+        # the rounding scale of F = 1e6 * area must not hide that grad F is 0
+        code, _, err = run(capsys, *command, "--k", "2", "--field", "1e6", "--grid", "8",
+                           "--out", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert err == "no critical point: F constant, no critical point\n"
+
     def test_quadratic_writes_grid_and_points(self, capsys, tmp_path):
         out_csv = tmp_path / "m.csv"
         code, out, err = run(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from hyploop import melnikov
+from hyploop import euclidean, melnikov
 from hyploop.errors import NoCritical, QuadratureFailure
 from hyploop.euclidean import FLAT, melnikov_gradient_grid_euclid
 from hyploop.fields import RegionBox, parse_field
@@ -10,6 +10,7 @@ from hyploop.halfplane import HALFPLANE, translate
 from hyploop.loops import curvature_radius, reference_loop, signed_area
 from hyploop.melnikov import (
     asymptotic_check,
+    critical_point,
     find_critical,
     melnikov_gradient,
     melnikov_gradient_grid,
@@ -263,6 +264,56 @@ class TestCriticalSearch:
     def test_gradient_at_root_small(self):
         search = find_critical(2.0, QUADRATIC, self.BOX, grid=12)
         assert np.abs(search.points[0].grad).max() < 1e-10
+
+
+SEARCH_FIELDS = TEST_FIELDS + [
+    "1e6", "1e6 + z1^2 + (z2-2)^2", "1e8 + z1^2 + (z2-2)^2", "-3e5 + " + TRANSCENDENTAL,
+]
+
+
+def count_value_centers(monkeypatch) -> list:
+    """Record how many centers each call of either plane's value rule gets."""
+    sizes = []
+    for module, name in ((melnikov, "melnikov_grid"), (euclidean, "melnikov_grid_euclid")):
+        def counted(z1, z2, *args, _fn=getattr(module, name)):
+            sizes.append(np.size(z1))
+            return _fn(z1, z2, *args)
+
+        monkeypatch.setattr(module, name, counted)
+    return sizes
+
+
+class TestSearchWithoutLandscape:
+    """The seed search works from grad F; only ``find_critical`` adds the F landscape."""
+
+    BOX = RegionBox(-0.6, 0.6, 1.2, 2.8)
+
+    @pytest.mark.parametrize("geometry", [HALFPLANE, FLAT])
+    @pytest.mark.parametrize("text", ["z1^2 + (z2-2)^2", "sin(z1) * cos(z2)", "1e6"])
+    def test_value_rule_budget(self, geometry, text, monkeypatch):
+        sizes = count_value_centers(monkeypatch)
+        points = find_critical(2.0, text, self.BOX, grid=8, geometry=geometry).points
+        assert sum(sizes) == 8**2 + len(points)
+        sizes.clear()
+        try:
+            critical_point(2.0, text, self.BOX, 8, geometry)
+        except NoCritical:
+            assert not points
+        # one node for the rounding scale, then one center per reported point
+        assert sizes == [1] * (1 + len(points))
+
+    @pytest.mark.parametrize("geometry", [HALFPLANE, FLAT])
+    @pytest.mark.parametrize("text", SEARCH_FIELDS)
+    def test_seed_is_the_first_nondegenerate_point_of_the_landscape(self, geometry, text):
+        for k in (1.5, 2.0, 8.0):
+            points = find_critical(k, text, self.BOX, grid=8, geometry=geometry).points
+            if not points:
+                with pytest.raises(NoCritical):
+                    critical_point(k, text, self.BOX, 8, geometry)
+                continue
+            want = next((p.z for p in points if p.classification != "degenerate"), points[0].z)
+            got = critical_point(k, text, self.BOX, 8, geometry)
+            assert np.array(got).tobytes() == np.array(want).tobytes(), (k, got, want)
 
 
 class TestAsymptotics:
