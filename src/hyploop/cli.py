@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .errors import (
     QuadratureFailure,
     StepTooLarge,
 )
-from .fields import PlaneBox, RegionBox, check_nonexistence, eval_field, parse_field
+from .fields import BinOp, Const, PlaneBox, RegionBox, check_nonexistence, eval_field, parse_field
 from .linearized import kernel_report
 from .loops import load_loop, save_loop, verify_solution
 from .reduction import continue_eps, reduce_at, solve_full
@@ -85,8 +86,9 @@ def to_json(value, indent: int = 0) -> str:
     return json.dumps(value)
 
 
-def emit(report: dict, summary: str):
-    print(to_json(report))
+def emit(command: str, report: dict, summary: str):
+    """The JSON report, headed by the schema and the command, on stdout; the summary on stderr."""
+    print(to_json({"schema": SCHEMA, "command": command, **report}))
     print(summary, file=sys.stderr)
 
 
@@ -100,7 +102,7 @@ class RunConfig:
     k: float
     eps: float = 0.0
     eps_given: bool = False
-    eps_list: list | None = None
+    eps_list: tuple | None = None
     field: str | None = None
     box: RegionBox | None = None
     grid: int = 32
@@ -126,8 +128,6 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # treat "-1,1,1,3" and friends as values, not flags (flags are words)
-        import re
-
         self._negative_number_matcher = re.compile(r"^-(\d|\.\d)")
 
     def error(self, message):  # exit 3, not argparse's default 2
@@ -155,91 +155,93 @@ def _parse_int(value, what: str) -> int:
     return value
 
 
-CONFIG_KEYS = ("k", "eps", "eps_list", "field", "box", "grid", "n_samples", "out", "z", "infile")
+def _text(value, key, flag, euclid):
+    if value is not None and not isinstance(value, str):  # null leaves it unset
+        raise ConfigError(f"config key {key!r} must be text, got {value!r}")
+    return value
+
+
+def _numbers(count: int):
+    """Rule for ``count`` comma-separated numbers, any count if 0; null leaves them unset."""
+    return lambda value, key, flag, euclid: (
+        None if value is None else tuple(_parse_floats(value, count, flag)))
+
+
+def _curvature(value, key, flag, euclid) -> float:
+    k = _parse_floats(value, 1, flag)[0]
+    if euclid:
+        if not k > 0:
+            raise ConfigError(f"euclid commands need k > 0, got {k}")
+    elif not k > 1:
+        raise ConfigError(f"half-plane commands need k > 1, got {k}")
+    return k
+
+
+def _box(value, key, flag, euclid):
+    if value is None:
+        return None
+    try:
+        return (PlaneBox if euclid else RegionBox)(*_parse_floats(value, 4, flag))
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+
+
+def _samples(value, key, flag, euclid) -> int:
+    n = _parse_int(value, flag)
+    if n < 4 or n & (n - 1):
+        raise ConfigError(f"{flag} must be a power of two >= 4, got {n}")
+    return n
+
+
+def _grid(value, key, flag, euclid) -> int:
+    n = _parse_int(value, flag)
+    if n < 2:
+        raise ConfigError(f"{flag} must be >= 2, got {n}")
+    return n
+
+
+# Each setting, once: its config key (and RunConfig field), its flag, its argparse
+# options, and the rule read(value, key, flag, euclid) that reads a flag or config
+# value into the field and checks it.  Settings are read, and fail, in this order.
+SETTINGS = (
+    ("field", "--field", {}, _text),
+    ("out", "--out", {}, _text),
+    ("infile", "--in", {"help": "loop CSV to verify"}, _text),
+    ("k", "--k", {"type": float}, _curvature),
+    ("box", "--box", {"help": "z1min,z1max,z2min,z2max"}, _box),
+    ("z", "--z", {"help": "z1,z2"}, _numbers(2)),
+    ("eps_list", "--eps-list", {"help": "comma-separated eps targets"}, _numbers(0)),
+    ("n_samples", "--n-samples", {"type": int}, _samples),
+    ("grid", "--grid", {"type": int}, _grid),
+    ("eps", "--eps", {"type": float}, lambda v, key, flag, euclid: _parse_floats(v, 1, flag)[0]),
+)
 
 
 def _build_config(args, euclid: bool = False) -> RunConfig:
-    merged = {}
-    if getattr(args, "config", None):
+    loaded = {}
+    if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
             raise ConfigError(f"cannot read config {args.config!r}: {exc}")
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {args.config!r} must hold a JSON object")
-        unknown = sorted(set(loaded) - set(CONFIG_KEYS))
+        unknown = sorted(set(loaded) - {key for key, *_ in SETTINGS})
         if unknown:
             raise ConfigError(f"unknown config key(s) {', '.join(unknown)} in {args.config!r}")
-        merged.update(loaded)
-    for key in CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    for key in ("field", "out", "infile"):
-        if merged.get(key) is not None and not isinstance(merged[key], str):
-            raise ConfigError(f"config key {key!r} must be text, got {merged[key]!r}")
-
-    if "k" not in merged:
-        raise ConfigError("--k is required")
-    k = _parse_floats(merged["k"], 1, "--k")[0]
-    if euclid:
-        if not k > 0:
-            raise ConfigError(f"euclid commands need k > 0, got {k}")
-    elif not k > 1:
-        raise ConfigError(f"half-plane commands need k > 1, got {k}")
-
-    box = merged.get("box")
-    if box is not None:
-        try:
-            box = (PlaneBox if euclid else RegionBox)(*_parse_floats(box, 4, "--box"))
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-
-    z = merged.get("z")
-    if z is not None:
-        z = tuple(_parse_floats(z, 2, "--z"))
-
-    eps_list = merged.get("eps_list")
-    if eps_list is not None:
-        eps_list = _parse_floats(eps_list, 0, "--eps-list")
-
-    n_samples = _parse_int(merged.get("n_samples", 256), "--n-samples")
-    if n_samples < 4 or n_samples & (n_samples - 1):
-        raise ConfigError(f"--n-samples must be a power of two >= 4, got {n_samples}")
-    grid = _parse_int(merged.get("grid", 32), "--grid")
-    if grid < 2:
-        raise ConfigError(f"--grid must be >= 2, got {grid}")
-
-    return RunConfig(
-        k=k,
-        eps=_parse_floats(merged.get("eps", 0.0), 1, "--eps")[0],
-        eps_given="eps" in merged,
-        eps_list=eps_list,
-        field=merged.get("field"),
-        box=box,
-        grid=grid,
-        n_samples=n_samples,
-        out=merged.get("out"),
-        z=z,
-        infile=merged.get("infile"),
-    )
+    values = {}
+    for key, flag, _, read in SETTINGS:
+        given = getattr(args, key, None)  # a flag overrides the config file
+        if given is not None or key in loaded:
+            values[key] = read(loaded[key] if given is None else given, key, flag, euclid)
+        elif key == "k":
+            raise ConfigError("--k is required")
+    return RunConfig(eps_given="eps" in values, **values)
 
 
 # ---------------------------------------------------------------------------
-# Report builders
+# Subcommands
 # ---------------------------------------------------------------------------
-
-
-def _defects_dict(rep) -> dict:
-    return {
-        "residual_sup": rep.residual_sup,
-        "speed_defect": rep.speed_defect,
-        "curvature_defect": rep.curvature_defect,
-        "killing": list(rep.killing),
-        "mu": rep.mu,
-        "embedded": rep.embedded,
-        "length": rep.length,
-    }
 
 
 def _point_dict(p) -> dict:
@@ -253,11 +255,6 @@ def _point_dict(p) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# Subcommands
-# ---------------------------------------------------------------------------
-
-
 def _cmd_melnikov(cfg: RunConfig, euclid: bool = False) -> int:
     if cfg.box is None:
         raise ConfigError("--box is required for melnikov")
@@ -269,9 +266,8 @@ def _cmd_melnikov(cfg: RunConfig, euclid: bool = False) -> int:
         writer = csv.writer(fh)
         writer.writerow(["z1", "z2", "F", "dF1", "dF2"])
         writer.writerows([fmt(v) for v in row] for row in zip(*search.grid))
+    command = "euclid melnikov" if euclid else "melnikov"
     report = {
-        "schema": SCHEMA,
-        "command": "euclid melnikov" if euclid else "melnikov",
         "k": cfg.k,
         "field": cfg.field,
         "grid": cfg.grid,
@@ -282,17 +278,15 @@ def _cmd_melnikov(cfg: RunConfig, euclid: bool = False) -> int:
         "note": search.note,
     }
     if not search.points:
-        emit(report, f"no critical point: {search.note}")
+        emit(command, report, f"no critical point: {search.note}")
         return EXIT_BLOCKED
-    emit(report, f"{len(search.points)} critical point(s); CSV in {out}")
+    emit(command, report, f"{len(search.points)} critical point(s); CSV in {out}")
     return EXIT_OK
 
 
 def _cmd_kernel(cfg: RunConfig) -> int:
     rep = kernel_report(cfg.k, cfg.n_samples)
     report = {
-        "schema": SCHEMA,
-        "command": "kernel",
         "k": rep.k,
         "n": rep.n,
         "dimension": rep.dimension,
@@ -303,7 +297,8 @@ def _cmd_kernel(cfg: RunConfig) -> int:
             for (m, z, lo, hi) in rep.per_mode
         ],
     }
-    emit(report, f"kernel dimension {rep.dimension}, sigma_min_nonzero {rep.sigma_min_nonzero:.6g}")
+    emit("kernel", report,
+         f"kernel dimension {rep.dimension}, sigma_min_nonzero {rep.sigma_min_nonzero:.6g}")
     return EXIT_OK
 
 
@@ -323,19 +318,17 @@ def _cmd_verify(cfg: RunConfig) -> int:
         eps = 0.0
     rep = verify_solution(loop, cfg.k, eps, expr)
     report = {
-        "schema": SCHEMA,
-        "command": "verify",
         "k": cfg.k,
         "eps": eps,
         "field": field_text,
         "in": str(cfg.infile),
-        "defects": _defects_dict(rep),
+        "defects": asdict(rep),
     }
     if not np.isfinite(rep.residual_sup):
-        emit(report, "hyploop: numerical failure: degenerate loop (numerically constant "
-                     "or its speed collapses); defects are null")
+        emit("verify", report, "hyploop: numerical failure: degenerate loop (numerically "
+                               "constant or its speed collapses); defects are null")
         return EXIT_NUMERICAL
-    emit(report, rep.summary())
+    emit("verify", report, rep.summary())
     return EXIT_OK
 
 
@@ -345,8 +338,6 @@ def _cmd_reduce(cfg: RunConfig) -> int:
     expr = cfg.parsed_field()
     state = reduce_at(cfg.eps, cfg.z, cfg.k, expr, cfg.n_samples)
     report = {
-        "schema": SCHEMA,
-        "command": "reduce",
         "k": cfg.k,
         "eps": cfg.eps,
         "field": cfg.field,
@@ -359,15 +350,23 @@ def _cmd_reduce(cfg: RunConfig) -> int:
         "eta_sup": float(np.abs(state.eta).max()),
         "eta_samples": [list(row) for row in state.eta],
     }
-    emit(report, f"reduced at z={state.z}: t={state.t:.3e}, |theta|={np.abs(state.theta).max():.3e}")
+    emit("reduce", report,
+         f"reduced at z={state.z}: t={state.t:.3e}, |theta|={np.abs(state.theta).max():.3e}")
     return EXIT_OK
 
 
-def _curvature_blocked(cfg: RunConfig, expr) -> bool:
-    """Sampled total-curvature bound: sup |k + eps*K| <= 1 admits no loop."""
-    g1, g2 = cfg.box.grid(max(cfg.grid, 16))
-    total = cfg.k + cfg.eps * eval_field(expr, g1.ravel(), g2.ravel())
-    return bool(np.abs(total).max() <= 1.0)
+def _blocked_evidence(cfg: RunConfig, expr):
+    """Sampled total-curvature bound: sup |k + eps*K| <= 1 admits no loop.
+
+    Returns the nonexistence report of k + eps*K on the sample grid that
+    decided, or None when the bound does not hold.
+    """
+    total = BinOp("+", Const(cfg.k), BinOp("*", Const(cfg.eps), expr))
+    samples = max(cfg.grid, 16)
+    g1, g2 = cfg.box.grid(samples)
+    if np.abs(eval_field(total, g1.ravel(), g2.ravel())).max() > 1.0:
+        return None
+    return check_nonexistence(total, cfg.box, samples)
 
 
 def _cmd_solve(cfg: RunConfig, euclid: bool = False) -> int:
@@ -375,40 +374,27 @@ def _cmd_solve(cfg: RunConfig, euclid: bool = False) -> int:
         raise ConfigError("--box is required for solve")
     expr = cfg.parsed_field()
     command = "euclid solve" if euclid else "solve"
-    if not euclid and _curvature_blocked(cfg, expr):
+    evidence = None if euclid else _blocked_evidence(cfg, expr)
+    if evidence is not None:
         report = {
-            "schema": SCHEMA,
-            "command": command,
             "k": cfg.k,
             "eps": cfg.eps,
             "field": cfg.field,
             "blocked": "total curvature k + eps*K has |.| <= 1 on the sampled box; "
                        "no such loop exists",
-            "nonexistence": _nonexistence_dict(check_nonexistence(expr, cfg.box, cfg.grid)),
+            "nonexistence": asdict(evidence),
         }
-        emit(report, "blocked: bounded total curvature (sampled)")
+        emit(command, report, "blocked: bounded total curvature (sampled)")
         return EXIT_BLOCKED
     solve = euclidean.solve_full_euclid if euclid else solve_full
     try:
         result = solve(cfg.eps, cfg.k, expr, cfg.box, cfg.grid, cfg.n_samples)
     except NoCritical as exc:
-        emit({"schema": SCHEMA, "command": command, "note": str(exc)},
-             f"no critical point: {exc}")
+        emit(command, {"note": str(exc)}, f"no critical point: {exc}")
         return EXIT_BLOCKED
     out = cfg.out or "loop.csv"
-    save_loop(out, result.loop, {
-        "k": cfg.k, "eps": cfg.eps, "field": cfg.field, "N": cfg.n_samples,
-        "z_critical": list(result.z_critical), "schema": SCHEMA,
-    })
-    report = _solve_report_dict(command, cfg, result, out)
-    emit(report, f"solved: {result.defects.summary()}; loop in {out}")
-    return EXIT_OK
-
-
-def _solve_report_dict(command, cfg, result, out) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": command,
+    _save_loop(out, cfg, result)
+    report = {
         "k": cfg.k,
         "eps": result.eps,
         "field": cfg.field,
@@ -416,24 +402,22 @@ def _solve_report_dict(command, cfg, result, out) -> dict:
         "melnikov_seed": list(result.melnikov_seed) if result.melnikov_seed else None,
         "mu": result.mu,
         "embedded": result.embedded,
-        "defects": _defects_dict(result.defects),
+        "defects": asdict(result.defects),
         "c0_dist": result.c0_dist,
         "c2_dist": result.c2_dist,
         "t": result.state.t if result.state else 0.0,
         "out": str(out),
     }
+    emit(command, report, f"solved: {result.defects.summary()}; loop in {out}")
+    return EXIT_OK
 
 
-def _nonexistence_dict(rep) -> dict:
-    return {
-        "sup_abs": rep.sup_abs,
-        "supnorm_le_one": rep.supnorm_le_one,
-        "monotone_e1": rep.monotone_e1,
-        "monotone_radial": rep.monotone_radial,
-        "monotone_squared": rep.monotone_squared,
-        "samples": rep.samples,
-        "note": rep.note,
-    }
+def _save_loop(path, cfg: RunConfig, result):
+    """The loop of a SolveReport, with the sidecar that ``verify`` reads."""
+    save_loop(path, result.loop, {
+        "k": cfg.k, "eps": result.eps, "field": cfg.field, "N": cfg.n_samples,
+        "z_critical": list(result.z_critical), "schema": SCHEMA,
+    })
 
 
 def _cmd_continue(cfg: RunConfig) -> int:
@@ -445,19 +429,14 @@ def _cmd_continue(cfg: RunConfig) -> int:
     solved = []
     for i, rep in enumerate(result.reports):
         path = f"{out_prefix}_{i}.csv"
-        save_loop(path, rep.loop, {
-            "k": cfg.k, "eps": rep.eps, "field": cfg.field, "N": cfg.n_samples,
-            "z_critical": list(rep.z_critical), "schema": SCHEMA,
-        })
+        _save_loop(path, cfg, rep)
         solved.append({
             "eps": rep.eps,
             "z_critical": list(rep.z_critical),
-            "defects": _defects_dict(rep.defects),
+            "defects": asdict(rep.defects),
             "out": path,
         })
     report = {
-        "schema": SCHEMA,
-        "command": "continue",
         "k": cfg.k,
         "field": cfg.field,
         "eps_bar": result.eps_bar,
@@ -468,9 +447,10 @@ def _cmd_continue(cfg: RunConfig) -> int:
         ),
     }
     if not result.reports:
-        emit(report, f"continuation failed at the first target: {result.failure}")
+        emit("continue", report, f"continuation failed at the first target: {result.failure}")
         return EXIT_NUMERICAL
-    emit(report, f"continuation solved {len(solved)} target(s), eps_bar={result.eps_bar:g}")
+    emit("continue", report,
+         f"continuation solved {len(solved)} target(s), eps_bar={result.eps_bar:g}")
     return EXIT_OK
 
 
@@ -479,75 +459,50 @@ def _cmd_continue(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p, *names):
+# subcommand: (handler, help, setting keys in --help order); the flat-plane
+# variants under "euclid" take the settings of their half-plane namesakes
+COMMANDS = {
+    "solve": (_cmd_solve, "solve for a prescribed-curvature loop",
+              ("k", "eps", "field", "box", "grid", "n_samples", "out")),
+    "reduce": (_cmd_reduce, "one correction solve at fixed (eps, z)",
+               ("k", "eps", "field", "n_samples", "z")),
+    "continue": (_cmd_continue, "warm-started continuation in eps",
+                 ("k", "field", "box", "grid", "n_samples", "out", "eps_list")),
+    "melnikov": (_cmd_melnikov, "disk-average landscape and critical points",
+                 ("k", "field", "box", "grid", "out")),
+    "kernel": (_cmd_kernel, "frequency-block kernel survey", ("k", "n_samples")),
+    "verify": (_cmd_verify, "re-verify a stored loop", ("k", "eps", "field", "infile")),
+}
+
+
+def _add_settings(p, keys):
     p.add_argument("--config", help="JSON file with RunConfig keys; flags override it")
-    if "k" in names:
-        p.add_argument("--k", type=float)
-    if "eps" in names:
-        p.add_argument("--eps", type=float)
-    if "field" in names:
-        p.add_argument("--field")
-    if "box" in names:
-        p.add_argument("--box", help="z1min,z1max,z2min,z2max")
-    if "grid" in names:
-        p.add_argument("--grid", type=int)
-    if "n_samples" in names:
-        p.add_argument("--n-samples", dest="n_samples", type=int)
-    if "out" in names:
-        p.add_argument("--out")
-    if "z" in names:
-        p.add_argument("--z", help="z1,z2")
-    if "eps_list" in names:
-        p.add_argument("--eps-list", dest="eps_list", help="comma-separated eps targets")
-    if "infile" in names:
-        p.add_argument("--in", dest="infile", help="loop CSV to verify")
+    rows = {row[0]: row for row in SETTINGS}
+    for key in keys:
+        _, flag, options, _ = rows[key]
+        p.add_argument(flag, dest=key, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hyploop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(sub.add_parser("solve", help="solve for a prescribed-curvature loop"),
-                "k", "eps", "field", "box", "grid", "n_samples", "out")
-    _add_common(sub.add_parser("reduce", help="one correction solve at fixed (eps, z)"),
-                "k", "eps", "field", "z", "n_samples")
-    _add_common(sub.add_parser("continue", help="warm-started continuation in eps"),
-                "k", "field", "box", "grid", "n_samples", "out", "eps_list")
-    _add_common(sub.add_parser("melnikov", help="disk-average landscape and critical points"),
-                "k", "field", "box", "grid", "out")
-    _add_common(sub.add_parser("kernel", help="frequency-block kernel survey"),
-                "k", "n_samples")
-    _add_common(sub.add_parser("verify", help="re-verify a stored loop"),
-                "k", "eps", "field", "infile")
-
+    for name, (_, help_text, keys) in COMMANDS.items():
+        _add_settings(sub.add_parser(name, help=help_text), keys)
     eu = sub.add_parser("euclid", help="flat-plane variants").add_subparsers(
         dest="euclid_command", required=True
     )
-    _add_common(eu.add_parser("solve"), "k", "eps", "field", "box", "grid", "n_samples", "out")
-    _add_common(eu.add_parser("melnikov"), "k", "field", "box", "grid", "out")
+    for name in ("solve", "melnikov"):
+        _add_settings(eu.add_parser(name), COMMANDS[name][2])
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     euclid = args.command == "euclid"
     try:
         cfg = _build_config(args, euclid=euclid)
-        command = args.euclid_command if euclid else args.command
-        if command == "melnikov":
-            return _cmd_melnikov(cfg, euclid=euclid)
-        if command == "kernel":
-            return _cmd_kernel(cfg)
-        if command == "verify":
-            return _cmd_verify(cfg)
-        if command == "reduce":
-            return _cmd_reduce(cfg)
-        if command == "solve":
-            return _cmd_solve(cfg, euclid=euclid)
-        if command == "continue":
-            return _cmd_continue(cfg)
-        raise ConfigError(f"unknown command {command!r}")
+        handler = COMMANDS[args.euclid_command if euclid else args.command][0]
+        return handler(cfg, euclid=True) if euclid else handler(cfg)
     except (ConfigError, FieldSyntaxError) as exc:
         print(f"hyploop: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

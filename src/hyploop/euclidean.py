@@ -120,9 +120,9 @@ def melnikov_grid_euclid(z1, z2, k: float, field, nr: int = NR_DEFAULT, na: int 
     return out
 
 
-def melnikov_gradient_grid_euclid(z1, z2, k: float, field, na: int = NA_DEFAULT):
+def melnikov_gradient_grid_euclid(z1, z2, k: float, field):
     """(dF/dz1, dF/dz2) on arrays of centers: the integral of K(p) nu ds over the circle."""
-    return _boundary_gradient(z1, z2, field, na, lift=1.0, r0=1.0 / k, r1=0.0, curved=False)
+    return _boundary_gradient(z1, z2, field, lift=1.0, r0=1.0 / k, r1=0.0, curved=False)
 
 
 def _killing_fields(samples: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -139,10 +139,9 @@ FLAT = Geometry(
 )
 
 
-def find_critical_euclid(k: float, field, region: RegionBox, grid: int = 32,
-                         nr: int = NR_DEFAULT, na: int = NA_DEFAULT) -> CriticalSearch:
+def find_critical_euclid(k: float, field, region: RegionBox, grid: int = 32) -> CriticalSearch:
     """Critical points of the flat disk average over a region box."""
-    return find_critical(k, field, region, grid, nr, na, geometry=FLAT)
+    return find_critical(k, field, region, grid, geometry=FLAT)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +180,6 @@ class EuclideanProblem(ProblemBase):
 
 
 def solve_full_euclid(eps: float, k: float, field, region: RegionBox,
-                      grid: int = 16, n: int = 256, seed=None) -> SolveReport:
-    """End-to-end flat-plane solve; mirrors the half-plane interface."""
-    return solve_generic(EuclideanProblem(k, field, n), eps, region, grid, seed=seed)
+                      grid: int = 16, n: int = 256) -> SolveReport:
+    """End-to-end flat-plane solve, seeded by the flat Melnikov search."""
+    return solve_generic(EuclideanProblem(k, field, n), eps, region, grid)

@@ -56,6 +56,10 @@ class FieldExpr:
 class Const(FieldExpr):
     value: float
 
+    @property
+    def prec(self):  # "-2.0" prints a unary minus, so it binds like Neg: "(-2.0)^z1"
+        return Neg.prec if np.signbit(self.value) else FieldExpr.prec
+
     def text(self):
         return repr(float(self.value))
 
@@ -493,12 +497,10 @@ class RegionBox:
                 f"RegionBox needs z1min < z1max and 0 < z2min < z2max, got {self}"
             )
 
-    def grid(self, n1: int, n2: int | None = None):
-        """Meshgrid of samples including the box edges."""
-        if n2 is None:
-            n2 = n1
-        a = np.linspace(self.z1min, self.z1max, n1)
-        b = np.linspace(self.z2min, self.z2max, n2)
+    def grid(self, n: int):
+        """n x n meshgrid of samples including the box edges."""
+        a = np.linspace(self.z1min, self.z1max, n)
+        b = np.linspace(self.z2min, self.z2max, n)
         return np.meshgrid(a, b, indexing="ij")
 
 

@@ -189,12 +189,11 @@ def area_const(u: Loop, geometry: Geometry = HALFPLANE) -> float:
     return -float((u.deriv(1)[:, 0] / geometry.height(u)).mean())
 
 
-def signed_area(u: Loop, field, tol: float = 1e-12, weights=(1.0, 0.0),
-                geometry: Geometry = HALFPLANE) -> float:
+def signed_area(u: Loop, field, weights=(1.0, 0.0), geometry: Geometry = HALFPLANE) -> float:
     """K-weighted signed area A_K(u) = mean of Q_K(u) . (i u').
 
     Q_K is a gauge built from 1-D integrals of K, each evaluated to
-    absolute tolerance ``tol`` by adaptive Gauss-Legendre:
+    absolute tolerance 1e-12 by adaptive Gauss-Legendre:
 
         Q1 = w1 * h(z2)**-2 * integral_0^z1 K(t, z2) dt
         Q2 = w2 * integral_b^z2 h(t)**-2 K(z1, t) dt
@@ -214,13 +213,13 @@ def signed_area(u: Loop, field, tol: float = 1e-12, weights=(1.0, 0.0),
     q = np.zeros_like(u.samples)
     if w1:
         vals = adaptive_gauss_legendre(
-            lambda idx, t: eval_field(expr, t, u2[idx]), np.zeros_like(u1), u1, tol=tol
+            lambda idx, t: eval_field(expr, t, u2[idx]), np.zeros_like(u1), u1
         )
         q[:, 0] = w1 * vals / h**2
     if w2:
         vals = adaptive_gauss_legendre(
             lambda idx, t: eval_field(expr, u1[idx], t) / (t**2 if geometry.curved else 1.0),
-            np.full_like(u2, geometry.area_base), u2, tol=tol,
+            np.full_like(u2, geometry.area_base), u2,
         )
         q[:, 1] = w2 * vals
     return dot_mean(q, iup)
@@ -240,19 +239,19 @@ class EnergyBreakdown:
         return self.length_part + self.const_area_part + self.eps * self.pert_area_part
 
 
-def energy(u: Loop, k: float, eps: float = 0.0, field=None, tol: float = 1e-12,
+def energy(u: Loop, k: float, eps: float = 0.0, field=None,
            geometry: Geometry = HALFPLANE) -> EnergyBreakdown:
     """Energy of a loop for prescribed curvature k + eps*K.
 
     The constant part always uses the closed-form gauge; the perturbation
-    part uses the two-integral gauge of ``signed_area``.  ``field`` may be
+    part uses the default gauge of ``signed_area``.  ``field`` may be
     omitted only when eps == 0.
     """
     if eps != 0.0 and field is None:
         raise ValueError("eps != 0 requires a perturbation field")
     length = loop_length(u, geometry)
     const_part = k * area_const(u, geometry)
-    pert = signed_area(u, field, tol=tol, geometry=geometry) if field is not None else 0.0
+    pert = signed_area(u, field, geometry=geometry) if field is not None else 0.0
     return EnergyBreakdown(length, const_part, pert, eps)
 
 
@@ -300,10 +299,10 @@ def winding_number(u: Loop) -> int:
     return int(round(total / (2.0 * np.pi)))
 
 
-def is_embedded(u: Loop, refine: int = 4) -> bool:
+def is_embedded(u: Loop) -> bool:
     """Self-intersection test on a spectrally refined closed polyline.
 
-    The loop is refined to M = refine*N points.  Fast path, O(M): about
+    The loop is refined to M = 4N points.  Fast path, O(M): about
     the centroid c, every cross product (p_i - c) x (p_{i+1} - c) has the
     same strict sign and the turning angles add up to +-2*pi.  Then each
     edge sweeps its own open angular sector of width in (0, pi), the
@@ -316,7 +315,7 @@ def is_embedded(u: Loop, refine: int = 4) -> bool:
     the O(M**2) test over all non-adjacent segment pairs decides; touching
     pairs count as intersections, so multiply covered loops are rejected.
     """
-    pts = u.refined(refine).samples
+    pts = u.refined(4).samples
     return _star_shaped(pts) or _all_pairs_simple(pts)
 
 

@@ -90,19 +90,19 @@ def melnikov_value(
     )
 
 
-def melnikov_gradient_grid(z1, z2, k: float, field, na: int = NA_DEFAULT):
+def melnikov_gradient_grid(z1, z2, k: float, field):
     """(dF/dz1, dF/dz2) on arrays of centers, as an integral over the disk's boundary."""
     rk = curvature_radius(k)
-    return _boundary_gradient(z1, z2, field, na, lift=k * rk, r0=0.0, r1=rk, curved=True)
+    return _boundary_gradient(z1, z2, field, lift=k * rk, r0=0.0, r1=rk, curved=True)
 
 
-def melnikov_gradient(z, k: float, field, na: int = NA_DEFAULT) -> np.ndarray:
+def melnikov_gradient(z, k: float, field) -> np.ndarray:
     zp = as_point(z)
-    g1, g2 = melnikov_gradient_grid([zp.z1], [zp.z2], k, field, na)
+    g1, g2 = melnikov_gradient_grid([zp.z1], [zp.z2], k, field)
     return np.array([g1[0], g2[0]])
 
 
-def _boundary_gradient(z1, z2, field, na, lift, r0, r1, curved):
+def _boundary_gradient(z1, z2, field, lift, r0, r1, curved):
     """grad F for the disks with center (z1, lift*z2) and radius r = r0 + r1*z2.
 
     By Reynolds' rule grad F is the integral of K(p) (nu1, lift*nu2 + r1) r dphi
@@ -110,14 +110,14 @@ def _boundary_gradient(z1, z2, field, na, lift, r0, r1, curved):
     so each center's mean of K is taken off first.  The trapezoid sum on nb
     nodes is checked against the nb/2 sum on its even nodes: a center off by
     more than both 0.1*GRAD_TOL*max(1, |grad F|) and the rounding of K is
-    redone alone on 2*nb nodes, from 2*na up to 16*na.
+    redone alone on 2*nb nodes, from 2*NA_DEFAULT up to 16*NA_DEFAULT.
     """
     expr = as_field(field)
     z1 = np.asarray(z1, dtype=float).ravel()
     z2 = np.asarray(z2, dtype=float).ravel()
     grad = np.empty((z1.size, 2))
     for start in range(0, z1.size, 256):
-        todo, nb = np.arange(start, min(start + 256, z1.size)), 2 * na
+        todo, nb = np.arange(start, min(start + 256, z1.size)), 2 * NA_DEFAULT
         while todo.size:
             theta = 2.0 * np.pi * np.arange(nb) / nb
             n1, n2 = np.cos(theta), np.sin(theta)
@@ -133,7 +133,7 @@ def _boundary_gradient(z1, z2, field, na, lift, r0, r1, curved):
             noise = 4e-16 * (1.0 + lift + r1) * (2.0 * np.pi / nb) * np.abs(kv * scale).sum(axis=1)
             ok = err <= np.maximum(0.1 * GRAD_TOL * np.maximum(1.0, np.hypot(*g.T)), noise)
             grad[todo[ok]] = g[ok]
-            if nb >= 16 * na and not ok.all():
+            if nb >= 16 * NA_DEFAULT and not ok.all():
                 i = int(np.argmin(ok))
                 raise QuadratureFailure(
                     f"gradient quadrature unresolved at center ({z1[todo[i]]:.6g}, "
@@ -188,8 +188,7 @@ class CriticalSearch:
     ``interior_min``/``interior_max`` record whether the grid values attain
     a strict interior minimum/maximum (the elementary stability evidence);
     both are sampled statements, not certificates.  ``grid`` is the scanned
-    landscape (z1, z2, F, dF1, dF2) as flat arrays in ``region.grid`` order;
-    a search without the landscape leaves out F and claims neither extremum.
+    landscape (z1, z2, F, dF1, dF2) as flat arrays in ``region.grid`` order.
     """
 
     points: tuple[MelnikovSample, ...]
@@ -258,7 +257,10 @@ def _newton_refine(grad_fn, z0, lower_z2, bounds, tol):
 def _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value):
     """Newton from each grid-local minimum of |grad F| in the scan, then Hessian classification.
 
-    max(1, |top_value|), F at the node of largest |grad F|, is the rounding scale.
+    Starts are visited in lexicographic (z1, z2) order, so output order is
+    deterministic; ``lower_z2`` keeps Newton iterates above the half-plane
+    floor (-inf in the plane).  max(1, |top_value|), F at the node of largest
+    |grad F|, is the rounding scale.
     """
     g1, g2, d1, d2, _ = scan
     shape = g1.shape
@@ -307,44 +309,22 @@ def _scan(grad_grid_fn, region: RegionBox, grid: int):
     return g1, g2, d1, d2, int(np.argmax(np.hypot(d1, d2)))
 
 
-def search_critical_points(
-    value_grid_fn, grad_grid_fn, region: RegionBox, grid: int = 32,
-    lower_z2: float = 0.0,
-) -> CriticalSearch:
-    """Grid scan of |grad F|, Newton refinement, and Hessian classification: no F landscape.
-
-    F is evaluated only at the node of largest |grad F|, for the rounding
-    scale, and at each reported point: the result claims no interior
-    extremum and its ``grid`` is (z1, z2, dF1, dF2).  Seeds are grid-local
-    minima of |grad F| visited in lexicographic (z1, z2) order, so output
-    order is deterministic.  ``lower_z2`` keeps Newton iterates above the
-    half-plane floor (pass -inf for the plane).
-    """
-    g1, g2, d1, d2, top = scan = _scan(grad_grid_fn, region, grid)
-    z1, z2 = g1.ravel(), g2.ravel()
-    top_value = value_grid_fn(z1[top : top + 1], z2[top : top + 1])[0]
-    points, note = _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value)
-    return CriticalSearch(points, note, False, False, (z1, z2, d1, d2))
-
-
-def _callbacks(k, field, region, geometry, nr=NR_DEFAULT, na=NA_DEFAULT):
+def _callbacks(k, field, region, geometry):
     """F and grad F on arrays of centers in one plane, and the floor of the Newton iterates."""
     value_grid, gradient_grid = geometry.disk or (melnikov_grid, melnikov_gradient_grid)
     expr, floor = as_field(field), (0.5 * region.z2min if geometry.curved else -np.inf)
-    return (lambda z1, z2: value_grid(z1, z2, k, expr, nr, na),
-            lambda z1, z2: gradient_grid(z1, z2, k, expr, na), floor)
+    return (lambda z1, z2: value_grid(z1, z2, k, expr),
+            lambda z1, z2: gradient_grid(z1, z2, k, expr), floor)
 
 
-def find_critical(
-    k: float, field, region: RegionBox, grid: int = 32,
-    nr: int = NR_DEFAULT, na: int = NA_DEFAULT, geometry: Geometry = HALFPLANE,
-) -> CriticalSearch:
+def find_critical(k: float, field, region: RegionBox, grid: int = 32,
+                  geometry: Geometry = HALFPLANE) -> CriticalSearch:
     """Critical points of the disk average over a region box, and the F landscape.
 
     F is evaluated at every grid node, which also gives the rounding scale of
     the search, and at each reported point.
     """
-    value_grid_fn, grad_grid_fn, floor = _callbacks(k, field, region, geometry, nr, na)
+    value_grid_fn, grad_grid_fn, floor = _callbacks(k, field, region, geometry)
     g1, g2, d1, d2, top = scan = _scan(grad_grid_fn, region, grid)
     z1, z2 = g1.ravel(), g2.ravel()
     flat = value_grid_fn(z1, z2)
@@ -358,10 +338,17 @@ def find_critical(
 
 def critical_point(k: float, field, region: RegionBox, grid: int = 32,
                    geometry: Geometry = HALFPLANE) -> tuple[float, float]:
-    """First non-degenerate critical point, found without the F landscape; raises NoCritical."""
+    """First non-degenerate critical point, found without the F landscape; raises NoCritical.
+
+    The search of ``find_critical``, but F is evaluated only at the node of
+    largest |grad F|, for the rounding scale, and at each point found.
+    """
     value_grid_fn, grad_grid_fn, floor = _callbacks(k, field, region, geometry)
-    search = search_critical_points(value_grid_fn, grad_grid_fn, region, grid, floor)
-    points = search.require_points()
+    g1, g2, _, _, top = scan = _scan(grad_grid_fn, region, grid)
+    top_value = value_grid_fn(g1.ravel()[top : top + 1], g2.ravel()[top : top + 1])[0]
+    points, note = _refine(value_grid_fn, grad_grid_fn, region, floor, scan, top_value)
+    if not points:
+        raise NoCritical(note)
     for p in points:
         if p.classification in ("min", "max", "saddle"):
             return p.z

@@ -178,9 +178,8 @@ def _gmres(apply_op, b, rtol: float = 1e-6, maxiter: int = 40):
     return x, float(rel)
 
 
-def reduce_generic(problem, eps: float, z, tol: float = REDUCE_TOL,
-                   maxit: int = 40, warm: ReductionState | None = None) -> ReductionState:
-    """Newton-Krylov solve of the bordered correction system."""
+def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -> ReductionState:
+    """Newton-Krylov solve of the bordered correction system, to REDUCE_TOL in 40 steps."""
     zp = np.asarray([z[0], z[1]] if not hasattr(z, "z1") else [z.z1, z.z2], dtype=float)
     n = problem.n
     base = problem.base_loop(zp)
@@ -204,10 +203,10 @@ def reduce_generic(problem, eps: float, z, tol: float = REDUCE_TOL,
     iterations = 0
     stagnant = 0
 
-    while supF > tol:
-        if iterations >= maxit:
+    while supF > REDUCE_TOL:
+        if iterations >= 40:
             raise NewtonDiverged(
-                f"correction Newton did not reach {tol} in {maxit} iterations "
+                f"correction Newton did not reach {REDUCE_TOL} in 40 iterations "
                 f"(residual {supF:.3e})"
             )
 
@@ -253,7 +252,7 @@ def reduce_generic(problem, eps: float, z, tol: float = REDUCE_TOL,
         u, res, top, cons = evaluate(eta, t, theta)
         new_sup = max(np.abs(top).max(), np.abs(cons).max())
         stagnant = stagnant + 1 if new_sup > 0.9 * supF else 0
-        if stagnant >= 3 and new_sup > tol:
+        if stagnant >= 3 and new_sup > REDUCE_TOL:
             raise NewtonDiverged(f"correction Newton stagnated at residual {new_sup:.3e}")
         supF = new_sup
         iterations += 1
@@ -273,10 +272,9 @@ def reduce_generic(problem, eps: float, z, tol: float = REDUCE_TOL,
     )
 
 
-def reduce_at(eps: float, z, k: float, field, n: int = 256,
-              tol: float = REDUCE_TOL, warm: ReductionState | None = None) -> ReductionState:
+def reduce_at(eps: float, z, k: float, field, n: int = 256) -> ReductionState:
     """Solve the half-plane correction problem at one (eps, z)."""
-    return reduce_generic(HyperbolicProblem(k, field, n), eps, z, tol=tol, warm=warm)
+    return reduce_generic(HyperbolicProblem(k, field, n), eps, z)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +347,8 @@ def _full_residual_sup(problem, state: ReductionState, eps: float) -> float:
 
 
 def solve_generic(problem, eps: float, region, grid: int = 16,
-                  seed=None, maxit: int = 30, warm: ReductionState | None = None) -> SolveReport:
-    """Locate the critical center and return the solved loop there."""
+                  seed=None, warm: ReductionState | None = None) -> SolveReport:
+    """Locate the critical center, in at most 30 Newton steps, and return the solved loop there."""
     if seed is None:
         seed = problem.melnikov_seed(region, grid)
     if hasattr(seed, "z1"):
@@ -364,7 +362,7 @@ def solve_generic(problem, eps: float, region, grid: int = 16,
         return _finalize(problem, state, eps, z, seed_tuple)
 
     state = reduce_generic(problem, eps, z, warm=warm)
-    for _ in range(maxit):
+    for _ in range(30):
         if _full_residual_sup(problem, state, eps) < FULL_RESIDUAL_TOL:
             break
         g = reduced_gradient_from_state(problem, state)
@@ -416,8 +414,7 @@ def _finalize(problem, state, eps, z, seed_tuple) -> SolveReport:
 def solve_full(eps: float, k: float, field, region, grid: int = 16,
                n: int = 256, seed=None) -> SolveReport:
     """End-to-end half-plane solve of the prescribed-curvature problem."""
-    problem = HyperbolicProblem(k, field, n)
-    return solve_generic(problem, eps, region, grid, seed=seed)
+    return solve_generic(HyperbolicProblem(k, field, n), eps, region, grid, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hyploop import euclidean, melnikov
+from hyploop import euclidean, fields, melnikov
 from hyploop.cli import main, to_json
 from hyploop.fields import PlaneBox, RegionBox
 from hyploop.loops import Loop, reference_loop, save_loop
@@ -247,6 +247,28 @@ class TestSolveVerifyRoundTrip:
         assert report["nonexistence"]["monotone_e1"]
         assert not (tmp_path / "x.csv").exists()
 
+    def test_blocked_solve_reports_the_total_curvature(self, capsys, tmp_path, monkeypatch):
+        # K = 2 + z1 has |K| up to 3, but k + eps*K = 1 - z1/2 lies in [0.5, 1]:
+        # the evidence is that of k + eps*K on the max(grid, 16) grid that refused
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "solve", "--k", "2", "--eps", "-0.5", "--field", "2 + z1",
+                             "--box", "0,1,1,2", "--grid", "8")
+        assert code == 2 and err == "blocked: bounded total curvature (sampled)\n"
+        evidence = json.loads(out)["nonexistence"]
+        assert evidence["sup_abs"] == 1.0 and evidence["supnorm_le_one"]
+        assert evidence["monotone_e1"] and evidence["samples"] == 16
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unblocked_solve_builds_no_symbolic_gradient(self, capsys, tmp_path, monkeypatch):
+        def refuse(field):
+            raise AssertionError("grad_field called")
+
+        monkeypatch.setattr(fields, "grad_field", refuse)
+        code, _, _ = run(capsys, "solve", "--k", "2", "--eps", "0.01", "--field", QUADRATIC,
+                         "--box", "-0.6,0.6,1.2,2.8", "--grid", "6", "--n-samples", "64",
+                         "--out", str(tmp_path / "loop.csv"))
+        assert code == 0
+
     def test_solve_monotone_field_no_critical_point(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "solve", "--k", "2", "--eps", "0.01", "--field", "tanh(z1)",
@@ -411,6 +433,62 @@ class TestConfigHandling:
                              "--eps", "0.01", "--z", "0,2", *field)
         assert code == 3 and out == ""
         assert err.startswith("hyploop: config error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,config,message", [
+        # several bad settings: the first in reading order is reported
+        (("melnikov", "--k", "0.5", "--field", "1", "--box", "-1,1,3"), None,
+         "half-plane commands need k > 1, got 0.5"),
+        (("melnikov", "--k", "0.5", "--field", "1", "--box", "-1,1,-1,3"), None,
+         "half-plane commands need k > 1, got 0.5"),
+        (("euclid", "melnikov", "--k", "0", "--field", "1", "--box", "1,-1,1,3"), None,
+         "euclid commands need k > 0, got 0.0"),
+        (("solve", "--k", "2", "--field", "1", "--box", "1,-1,1,3", "--n-samples", "100"), None,
+         "RegionBox needs z1min < z1max and 0 < z2min < z2max, got "
+         "RegionBox(z1min=1.0, z1max=-1.0, z2min=1.0, z2max=3.0)"),
+        (("solve", "--k", "2", "--field", "1", "--box", "-1,1,1,3", "--n-samples", "100",
+          "--grid", "1"), None, "--n-samples must be a power of two >= 4, got 100"),
+        (("solve",), {"field": 3}, "config key 'field' must be text, got 3"),
+        (("solve", "--k", "2", "--box", "-1,1,3"), {"eps": "x"},
+         "--box needs 4 comma-separated numbers, got 3"),
+        (("reduce", "--k", "2", "--z", "0"), {"eps_list": [1, "a"], "grid": 1},
+         "--z needs 2 comma-separated numbers, got 1"),
+    ])
+    def test_first_bad_setting_is_reported(self, capsys, tmp_path, monkeypatch, argv, config,
+                                           message):
+        monkeypatch.chdir(tmp_path)
+        if config is not None:
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            argv = (*argv, "--config", "run.json")
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == f"hyploop: config error: {message}\n"
+
+    @pytest.mark.parametrize("command,flags", [
+        (("solve",), ["--k", "--eps", "--field", "--box", "--grid", "--n-samples", "--out"]),
+        (("reduce",), ["--k", "--eps", "--field", "--n-samples", "--z"]),
+        (("continue",), ["--k", "--field", "--box", "--grid", "--n-samples", "--out",
+                         "--eps-list"]),
+        (("melnikov",), ["--k", "--field", "--box", "--grid", "--out"]),
+        (("kernel",), ["--k", "--n-samples"]),
+        (("verify",), ["--k", "--eps", "--field", "--in"]),
+        (("euclid", "solve"), ["--k", "--eps", "--field", "--box", "--grid", "--n-samples",
+                               "--out"]),
+        (("euclid", "melnikov"), ["--k", "--field", "--box", "--grid", "--out"]),
+    ])
+    def test_help_lists_the_flags_of_each_command(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as info:
+            main([*command, "--help"])
+        assert info.value.code == 0
+        listed = [word.rstrip(",") for word in capsys.readouterr().out.split()
+                  if word.startswith("--")]
+        assert listed == ["--help", "--config", *flags]
+
+    def test_help_lists_euclid_last(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # one usage line
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "usage: hyploop [-h] {solve,reduce,continue,melnikov,kernel,verify,euclid} ...")
 
     def test_unknown_flag_exits_3(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyploop.errors import EvalDomainError, FieldSyntaxError, NonDifferentiable
 from hyploop.fields import (
+    FUNCTIONS,
+    VARIABLES,
+    BinOp,
+    Const,
+    Fn,
+    Neg,
     RegionBox,
+    Var,
     check_nonexistence,
     eval_field,
     eval_grad,
@@ -12,6 +21,28 @@ from hyploop.fields import (
 )
 
 from conftest import TEST_FIELDS
+
+# field trees as the API can build them: any finite constant, negative ones included
+FIELD_TREES = st.recursive(
+    st.one_of(st.builds(Var, st.sampled_from(VARIABLES)),
+              st.builds(Const, st.floats(allow_nan=False, allow_infinity=False))),
+    lambda children: st.one_of(
+        st.builds(Neg, children),
+        st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
+        st.builds(Fn, st.sampled_from(FUNCTIONS), children),
+    ),
+    max_leaves=10,
+)
+SAMPLE_POINTS = [(z1, z2) for z1 in (-2.0, -0.5, 0.0, 1.0, 3.0) for z2 in (0.25, 1.0, 2.0)]
+
+
+def evaluate(tree, z1, z2):
+    """The field at one point, or None where it is undefined there."""
+    with np.errstate(all="ignore"):
+        try:
+            return np.float64(eval_field(tree, z1, z2))
+        except (EvalDomainError, NonDifferentiable):
+            return None
 
 
 class TestParsing:
@@ -266,6 +297,21 @@ class TestRoundTrip:
         z1 = rng.uniform(0.5, 2.5, 100)
         z2 = rng.uniform(0.5, 3.0, 100)
         assert np.array_equal(eval_field(expr, z1, z2), eval_field(again, z1, z2))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(expr=FIELD_TREES)
+    @example(expr=BinOp("^", Const(-2.0), Var("z1")))  # printed "-2.0^z1" once: -(2^z1)
+    def test_random_trees_and_their_derivatives_reparse_bitwise(self, expr):
+        trees = [expr, expr.diff("z1"), expr.diff("z2")]
+        for tree in trees:
+            if "signum" in tree.text():  # the gradient of abs(...) has no text spelling
+                continue
+            again = parse_field(tree.text())
+            for z1, z2 in SAMPLE_POINTS:
+                a, b = evaluate(tree, z1, z2), evaluate(again, z1, z2)
+                if a is not None and b is not None:  # where both evaluate
+                    same = a.tobytes() == b.tobytes() or (np.isnan(a) and np.isnan(b))
+                    assert same, (tree.text(), z1, z2, a, b)
 
     def test_derivative_prints_reparse(self, rng):
         expr = parse_field("exp(-z1^2) * sin(z2)")

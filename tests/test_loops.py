@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hyploop import loops
 from hyploop.errors import DegenerateLoop
@@ -488,6 +489,25 @@ class TestLoopIO:
         again, meta2 = load_loop(path)
         assert np.array_equal(again.samples, u.samples)  # 17g round-trips exactly
         assert meta2 == meta
+
+    @pytest.mark.parametrize("n", [2**p for p in range(2, 12)])
+    @settings(max_examples=4, deadline=None, database=None)
+    @given(
+        data=st.data(),
+        k=st.floats(allow_nan=False, allow_infinity=False),
+        eps=st.floats(allow_nan=False, allow_infinity=False),
+        field=st.text(),
+    )
+    def test_round_trip_is_bitwise_at_every_n(self, tmp_path_factory, n, data, k, eps, field):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        samples = data.draw(hnp.arrays(np.float64, (n, 2), elements=finite, fill=finite))
+        u = Loop(samples)
+        path = tmp_path_factory.mktemp("io") / "loop.csv"
+        meta = {"k": k, "eps": eps, "field": field, "z_critical": [k, eps], "schema": "hyploop/1"}
+        save_loop(path, u, meta)
+        again, meta2 = load_loop(path)
+        assert again.samples.tobytes() == u.samples.tobytes()  # -0.0 and subnormals too
+        assert json.dumps(meta2, sort_keys=True) == json.dumps({**meta, "N": n}, sort_keys=True)
 
     def test_sidecar_content(self, rng, tmp_path):
         u = band_limited_loop(rng, n=64)

@@ -12,6 +12,12 @@ holds every run, each side's median and first/third quartiles of the
 end-to-end metrics, the pairs the change won, the traced per-layer figures
 and a note naming the cores, Python and numpy the timings come from.  Only
 the standard library is used; nothing runs in parallel.
+
+`setup_s` times fresh processes that import the program, so a checkout
+holding bytecode would be compared, loading it, with one compiling every
+module.  The tool therefore refuses checkouts with a `__pycache__` under
+`src/` or `perfbench/`, and runs every child with PYTHONDONTWRITEBYTECODE=1
+so that none appears during the record.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ TRACE_SEED = 1
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True, env=env)
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     print(f"{checkout.name} {workload} seed={seed} trace={trace} "
           f"correct={result['correct']} failed={result['failed']}/{result['attempted']}",
@@ -48,15 +55,26 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def main() -> int:
+def bytecode_dirs(checkout: Path) -> list[Path]:
+    """The `__pycache__` directories under `src/` and `perfbench/` of a checkout."""
+    return sorted(d for top in ("src", "perfbench") for d in (checkout / top).rglob("__pycache__"))
+
+
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for path in sides.values():
+        found = bytecode_dirs(path)
+        if found:
+            sys.exit(f"bench_record: refusing to record: {found[0]} holds bytecode, which "
+                     "set-up would load in one checkout and compile in the other; delete "
+                     "every __pycache__ under src/ and perfbench/ of both checkouts first")
     seconds = float(json.loads((sides["change"] / "BENCHMARK.json").read_text())["run_seconds"])
     record = {
         "note": (f"wall-clock timings on {os.cpu_count()} CPU cores, Python "
