@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fields import BinOp, Const, PlaneBox, RegionBox, check_nonexistence, eval_field, parse_field
 from .linearized import kernel_report
-from .loops import load_loop, save_loop, verify_solution
+from .loops import fmt, load_loop, save_loop, verify_solution
 from .reduction import continue_eps, reduce_at, solve_full
 
 SCHEMA = "hyploop/1"
@@ -47,12 +47,8 @@ NUMERICAL_ERRORS = (NewtonDiverged, StepTooLarge, QuadratureFailure, NotEmbedded
 
 
 # ---------------------------------------------------------------------------
-# 17-significant-digit JSON / CSV helpers
+# 17-significant-digit JSON helpers
 # ---------------------------------------------------------------------------
-
-
-def fmt(x) -> str:
-    return format(float(x), ".17g")
 
 
 def to_json(value, indent: int = 0) -> str:
@@ -156,15 +152,21 @@ def _parse_int(value, what: str) -> int:
 
 
 def _text(value, key, flag, euclid):
-    if value is not None and not isinstance(value, str):  # null leaves it unset
+    if not isinstance(value, str):
         raise ConfigError(f"config key {key!r} must be text, got {value!r}")
     return value
 
 
 def _numbers(count: int):
-    """Rule for ``count`` comma-separated numbers, any count if 0; null leaves them unset."""
-    return lambda value, key, flag, euclid: (
-        None if value is None else tuple(_parse_floats(value, count, flag)))
+    """Rule for ``count`` comma-separated numbers, any count if 0."""
+    return lambda value, key, flag, euclid: tuple(_parse_floats(value, count, flag))
+
+
+def _center(value, key, flag, euclid):
+    z = tuple(_parse_floats(value, 2, flag))
+    if not z[1] > 0:
+        raise ConfigError(f"{flag} needs z2 > 0, got {z[1]}")
+    return z
 
 
 def _curvature(value, key, flag, euclid) -> float:
@@ -174,12 +176,12 @@ def _curvature(value, key, flag, euclid) -> float:
             raise ConfigError(f"euclid commands need k > 0, got {k}")
     elif not k > 1:
         raise ConfigError(f"half-plane commands need k > 1, got {k}")
+    if not np.isfinite(k * k):
+        raise ConfigError(f"{flag} is too large: its square overflows, got {k}")
     return k
 
 
 def _box(value, key, flag, euclid):
-    if value is None:
-        return None
     try:
         return (PlaneBox if euclid else RegionBox)(*_parse_floats(value, 4, flag))
     except ValueError as exc:
@@ -209,7 +211,7 @@ SETTINGS = (
     ("infile", "--in", {"help": "loop CSV to verify"}, _text),
     ("k", "--k", {"type": float}, _curvature),
     ("box", "--box", {"help": "z1min,z1max,z2min,z2max"}, _box),
-    ("z", "--z", {"help": "z1,z2"}, _numbers(2)),
+    ("z", "--z", {"help": "z1,z2"}, _center),
     ("eps_list", "--eps-list", {"help": "comma-separated eps targets"}, _numbers(0)),
     ("n_samples", "--n-samples", {"type": int}, _samples),
     ("grid", "--grid", {"type": int}, _grid),
@@ -229,6 +231,8 @@ def _build_config(args, euclid: bool = False) -> RunConfig:
         unknown = sorted(set(loaded) - {key for key, *_ in SETTINGS})
         if unknown:
             raise ConfigError(f"unknown config key(s) {', '.join(unknown)} in {args.config!r}")
+        # null leaves a setting unset, as if its key were absent
+        loaded = {key: value for key, value in loaded.items() if value is not None}
     values = {}
     for key, flag, _, read in SETTINGS:
         given = getattr(args, key, None)  # a flag overrides the config file
@@ -364,7 +368,7 @@ def _blocked_evidence(cfg: RunConfig, expr):
     total = BinOp("+", Const(cfg.k), BinOp("*", Const(cfg.eps), expr))
     samples = max(cfg.grid, 16)
     g1, g2 = cfg.box.grid(samples)
-    if np.abs(eval_field(total, g1.ravel(), g2.ravel())).max() > 1.0:
+    if not np.all(np.abs(eval_field(total, g1.ravel(), g2.ravel())) <= 1.0):  # NaN: no bound
         return None
     return check_nonexistence(total, cfg.box, samples)
 

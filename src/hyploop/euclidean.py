@@ -132,7 +132,7 @@ def _killing_fields(samples: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 FLAT = Geometry(
-    curved=False, area_base=0.0, killing=_killing_fields, floor=-np.inf,
+    curved=False, killing=_killing_fields, floor=-np.inf,
     # late-bound like the half-plane rules, so wrapping the functions wraps these too
     disk=(lambda *args: melnikov_grid_euclid(*args),
           lambda *args: melnikov_gradient_grid_euclid(*args)),

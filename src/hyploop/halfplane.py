@@ -136,7 +136,6 @@ class Geometry:
     """
 
     curved: bool
-    area_base: float   # the height where the gauge of the K-weighted area starts
     killing: Callable  # samples (N, 2) -> the three Killing fields there
     floor: float       # correction and center iterates stay above this u2
     disk: tuple | None = None  # (value, gradient) grid rules; None: those of melnikov
@@ -159,7 +158,7 @@ def _killing_fields(samples: np.ndarray) -> tuple[np.ndarray, ...]:
     return e1, samples, np.column_stack((u1**2 - u2**2, 2.0 * u1 * u2))
 
 
-HALFPLANE = Geometry(curved=True, area_base=1.0, killing=_killing_fields, floor=1e-6)
+HALFPLANE = Geometry(curved=True, killing=_killing_fields, floor=1e-6)
 
 
 def geodesic_curvature(u, geometry: Geometry = HALFPLANE) -> np.ndarray:

@@ -29,31 +29,67 @@ from .loops import Loop, curvature_radius, dot_mean, reference_loop, residual
 ZERO_SV_RTOL = 1e-9  # sigma below this times the block's largest sigma counts as zero
 
 
-@lru_cache(maxsize=16)
-def _frame(k: float, n: int):
-    """Cached reference-loop data shared by the frame operations.
+@dataclass(frozen=True)
+class _Circle:
+    """Read-only data of the reference circle at one (k, N), built once.
 
-    The tangent u' is evaluated from its closed form (pointwise trig
-    arithmetic), not by spectral differentiation, so the frame identities
-    |u'| = R_k u2 and the kernel relations hold to rounding and the
-    wavenumber multipliers never amplify differentiation noise.
+    ``om_p``, ``i_om_p``: the frame u', i u', evaluated from the closed form
+    of u' (pointwise trig arithmetic), not by spectral differentiation, so
+    the frame identities |u'| = R_k u2 and the kernel relations hold to
+    rounding.  ``tangent``: the tangent fields (u', e1, u); ``ginv``: their
+    inverse Gram matrix; ``proj @ f.ravel()``: the coefficients of f's
+    projection on them.  ``weights[c]`` takes component c of f to
+    ``to_frame(u2**2 f)``.  ``blocks`` and ``pinvs``: the block matrices of
+    ``mode_blocks`` and their pseudo-inverses, as (mode 0, stack of modes
+    1..N/2).  ``kernel``: the analytic kernel basis; ``gram``: its Gram matrix.
     """
+
+    base: Loop
+    om_p: np.ndarray
+    i_om_p: np.ndarray
+    tangent: np.ndarray
+    ginv: np.ndarray
+    proj: np.ndarray
+    weights: np.ndarray
+    blocks: tuple
+    pinvs: tuple
+    kernel: np.ndarray
+    gram: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _circle(k: float, n: int) -> _Circle:
     base = reference_loop(k, n)
     rk = curvature_radius(k)
     theta = base.theta
     denom = (k - np.sin(theta)) ** 2
     om_p = np.column_stack(((1.0 - k * np.sin(theta)) / denom, np.cos(theta) / (rk * denom)))
-    om_p.flags.writeable = False
     i_om_p = rot90(om_p)
-    i_om_p.flags.writeable = False
-    return base, om_p, i_om_p
+    tangent = np.stack((om_p, *HALFPLANE.killing(base.samples)[:2]))
+    tang = tangent.reshape(3, 2 * n)
+    ginv = np.linalg.inv(tang @ tang.T / n)
+    u2 = base.samples[:, 1]
+    scale = (u2**2 / (rk * u2) ** 2)[:, None]
+    weights = np.stack([np.column_stack((om_p[:, c], i_om_p[:, c])) * scale for c in (0, 1)])
+    blocks = mode_blocks(k, n)
+    kernel = kernel_basis(k, n)
+    circle = _Circle(
+        base, om_p, i_om_p, tangent, ginv, ginv @ tang / n, weights,
+        (blocks[0].matrix, np.stack([b.matrix for b in blocks[1:]])),
+        (blocks[0].pinv, np.stack([b.pinv for b in blocks[1:]])),
+        kernel, np.array([[dot_mean(a, b) for b in kernel] for a in kernel]),
+    )
+    for arr in (om_p, i_om_p, tangent, ginv, circle.proj, weights, *circle.blocks,
+                *circle.pinvs, kernel):
+        arr.flags.writeable = False
+    return circle
 
 
 def from_frame(g: np.ndarray, k: float, n: int | None = None) -> np.ndarray:
     """Frame coordinates to ambient field: g -> g1 * u' + g2 * i u'."""
     g = np.asarray(g, dtype=float)
-    _, om_p, i_om_p = _frame(k, n or g.shape[0])
-    return g[:, 0:1] * om_p + g[:, 1:2] * i_om_p
+    circle = _circle(k, n or g.shape[0])
+    return g[:, 0:1] * circle.om_p + g[:, 1:2] * circle.i_om_p
 
 
 def to_frame(phi: np.ndarray, k: float, n: int | None = None) -> np.ndarray:
@@ -63,10 +99,9 @@ def to_frame(phi: np.ndarray, k: float, n: int | None = None) -> np.ndarray:
     inversion is a pair of scaled projections.
     """
     phi = np.asarray(phi, dtype=float)
-    base, om_p, i_om_p = _frame(k, n or phi.shape[0])
-    rk = curvature_radius(k)
-    scale = (rk * base.samples[:, 1]) ** 2
-    return np.column_stack(((phi * om_p).sum(axis=1), (phi * i_om_p).sum(axis=1))) / scale[:, None]
+    ref = _circle(k, n or phi.shape[0])
+    scale = (curvature_radius(k) * ref.base.samples[:, 1:2]) ** 2
+    return np.column_stack(((phi * ref.om_p).sum(axis=1), (phi * ref.i_om_p).sum(axis=1))) / scale
 
 
 def kernel_basis(k: float, n: int) -> np.ndarray:
@@ -85,18 +120,13 @@ def kernel_basis(k: float, n: int) -> np.ndarray:
 
 
 def tangent_fields(k: float, n: int) -> np.ndarray:
-    """Fields spanning the solution manifold's tangent space: (u', e1, u)."""
-    base, om_p, _ = _frame(k, n)
-    return np.stack((om_p, *HALFPLANE.killing(base.samples)[:2]))
+    """Fields spanning the solution manifold's tangent space: (u', e1, u), read-only."""
+    return _circle(k, n).tangent
 
 
 # ---------------------------------------------------------------------------
-# Applying the operator (wavenumber algebra on rfft coefficients)
+# Applying the operator (per-mode blocks on rfft coefficients)
 # ---------------------------------------------------------------------------
-
-
-def _freqs(n: int) -> np.ndarray:
-    return np.fft.rfftfreq(n, d=1.0 / n)
 
 
 SPECTRAL_NOISE_RTOL = 1e-15  # coefficients below this (relative) are FFT roundoff
@@ -121,30 +151,27 @@ def denoise_spectrum(*coeff_arrays):
 
 
 def apply_frame_operator(g: np.ndarray, k: float) -> np.ndarray:
-    """Apply B to frame coordinates, exactly per Fourier mode.
+    """Apply B to frame coordinates, exactly per Fourier mode, by the blocks of ``mode_blocks``.
 
-    Componentwise, at frequency m (with c = k*R_k and derivative = i*m):
-
-        out1 = m**2 g1 + i c m g2
-        out2 = m**2 g2 - i c m g1 + R_k**2 g2          (m >= 1)
-        out2 = R_k**2 (1 - k**2) g2                     (m = 0)
-
-    The cross terms vanish at the Nyquist mode, matching the first-derivative
-    convention of ``Loop.deriv``; noise-floor modes of the input are treated
-    as exact zeros (see ``denoise_spectrum``).
+    Noise-floor modes of the input are treated as exact zeros (see
+    ``denoise_spectrum``).
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
-    rk = curvature_radius(k)
-    c = k * rk
-    m = _freqs(n)
-    cross = c * m
-    cross[-1] = 0.0
-    g1, g2 = denoise_spectrum(np.fft.rfft(g[:, 0]), np.fft.rfft(g[:, 1]))
-    out1 = m**2 * g1 + 1j * cross * g2
-    out2 = (m**2 + rk**2) * g2 - 1j * cross * g1
-    out2[0] = rk**2 * (1.0 - k**2) * g2[0]
-    return np.column_stack((np.fft.irfft(out1, n=n), np.fft.irfft(out2, n=n)))
+    (c,) = denoise_spectrum(np.fft.rfft(g, axis=0))
+    return _per_mode(c, _circle(k, n).blocks, n)
+
+
+def _per_mode(c: np.ndarray, blocks: tuple, n: int) -> np.ndarray:
+    """Apply real blocks (mode 0, stack of modes 1..N/2) to the rfft rows c; back to samples.
+
+    A mode's rfft row (c1, c2), viewed as floats, is its block vector.
+    """
+    first, stack = blocks
+    out = np.empty_like(c)
+    out[0] = first @ c[0].real
+    out[1:] = np.einsum("mij,mj->mi", stack, c[1:].view(float)).view(complex)
+    return np.fft.irfft(out, n=n, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +223,7 @@ def mode_blocks(k: float, n: int) -> tuple[ModeBlock, ...]:
     rk = curvature_radius(k)
     m = np.arange(1, n // 2 + 1, dtype=float)
     cm = k * rk * m
-    cm[-1] = 0.0
+    cm[-1] = 0.0  # no cross terms at Nyquist: the first-derivative convention of Loop.deriv
     mats = np.zeros((m.size, 4, 4))
     mats[:, 0, 0] = mats[:, 1, 1] = m**2
     mats[:, 2, 2] = mats[:, 3, 3] = m**2 + rk**2
@@ -217,30 +244,12 @@ def mode_blocks(k: float, n: int) -> tuple[ModeBlock, ...]:
     return tuple(blocks)
 
 
-@lru_cache(maxsize=16)
-def _pinv_stacks(k: float, n: int):
-    """Stacked pseudo-inverses of all blocks for vectorized solves."""
-    blocks = mode_blocks(k, n)
-    pinv0 = blocks[0].pinv
-    stack = np.stack([b.pinv for b in blocks[1:]])
-    stack.flags.writeable = False
-    return pinv0, stack
-
-
-@lru_cache(maxsize=16)
-def _kernel_gram(k: float, n: int):
-    basis = kernel_basis(k, n)
-    basis.flags.writeable = False
-    gram = np.array([[dot_mean(a, b) for b in basis] for a in basis])
-    return basis, gram
-
-
 def _project_kernel(f: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
     """L2 projection of f onto the kernel; returns (coefficients, projection)."""
-    basis, gram = _kernel_gram(k, f.shape[0])
-    rhs = np.array([dot_mean(f, b) for b in basis])
-    coeffs = np.linalg.solve(gram, rhs)
-    return coeffs, np.tensordot(coeffs, basis, axes=1)
+    circle = _circle(k, f.shape[0])
+    rhs = np.array([dot_mean(f, b) for b in circle.kernel])
+    coeffs = np.linalg.solve(circle.gram, rhs)
+    return coeffs, np.tensordot(coeffs, circle.kernel, axes=1)
 
 
 def solve_frame_operator(f: np.ndarray, k: float, orth_tol: float = 1e-9) -> np.ndarray:
@@ -265,17 +274,9 @@ def solve_frame_operator(f: np.ndarray, k: float, orth_tol: float = 1e-9) -> np.
 
 
 def _solve_modes(f: np.ndarray, k: float) -> np.ndarray:
-    """Per-frequency pseudo-inverse solve of B g = f, without the kernel check.
-
-    A mode's rfft row (f1, f2), viewed as floats, is its block vector.
-    """
+    """Per-frequency pseudo-inverse solve of B g = f, without the kernel check."""
     n = f.shape[0]
-    pinv0, pinv_stack = _pinv_stacks(k, n)
-    c = np.fft.rfft(f, axis=0)
-    g = np.empty_like(c)
-    g[0] = pinv0 @ c[0].real
-    g[1:] = np.einsum("mij,mj->mi", pinv_stack, c[1:].view(float)).view(complex)
-    return np.fft.irfft(g, n=n, axis=0)
+    return _per_mode(np.fft.rfft(f, axis=0), _circle(k, n).pinvs, n)
 
 
 @dataclass(frozen=True)
@@ -359,10 +360,9 @@ def apply_linearization(z, phi: np.ndarray, k: float) -> np.ndarray:
     zp = as_point(z)
     phi = np.asarray(phi, dtype=float)
     n = phi.shape[0]
-    base, _, _ = _frame(k, n)
     g = to_frame(phi, k, n)
     image = from_frame(apply_frame_operator(g, k), k, n)
-    return image / (zp.z2**2 * base.samples[:, 1] ** 2)[:, None]
+    return image / (zp.z2**2 * _circle(k, n).base.samples[:, 1] ** 2)[:, None]
 
 
 def linearization_fd(z, phi: np.ndarray, k: float, h: float = 1e-5) -> np.ndarray:
@@ -375,26 +375,6 @@ def linearization_fd(z, phi: np.ndarray, k: float, h: float = 1e-5) -> np.ndarra
     plus = Loop(base.samples + h * phi)
     minus = Loop(base.samples - h * phi)
     return (residual(plus, k) - residual(minus, k)) / (2.0 * h)
-
-
-@lru_cache(maxsize=16)
-def _frozen_data(k: float, n: int):
-    """Read-only per-(k, N) data of ``frozen_solve``.
-
-    ``tang``: the tangent fields as (3, 2N); ``ginv``: their inverse Gram
-    matrix; ``proj @ f.ravel()``: the coefficients of f's projection on
-    them.  ``weights[c]`` takes component c of f to ``to_frame(u2**2 f)``.
-    """
-    base, om_p, i_om_p = _frame(k, n)
-    tang = tangent_fields(k, n).reshape(3, 2 * n)
-    ginv = np.linalg.inv(tang @ tang.T / n)
-    proj = ginv @ tang / n
-    u2 = base.samples[:, 1]
-    scale = (u2**2 / (curvature_radius(k) * u2) ** 2)[:, None]
-    weights = np.stack([np.column_stack((om_p[:, c], i_om_p[:, c])) * scale for c in (0, 1)])
-    for arr in (tang, ginv, proj, weights):
-        arr.flags.writeable = False
-    return tang, ginv, proj, weights
 
 
 def frozen_solve(z, k: float, rhs: np.ndarray, cons: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
@@ -413,7 +393,8 @@ def frozen_solve(z, k: float, rhs: np.ndarray, cons: np.ndarray) -> tuple[np.nda
     z2 = as_point(z).z2
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
-    tang, ginv, proj, weights = _frozen_data(k, n)
+    circle = _circle(k, n)
+    tang, proj, weights = circle.tangent.reshape(3, 2 * n), circle.proj, circle.weights
     # multipliers: rhs + a*T0 + p1*T1 + p2*T2 must be tangent-orthogonal
     mults = -(proj @ rhs.ravel())
     f = rhs + (mults @ tang).reshape(n, 2)
@@ -421,5 +402,5 @@ def frozen_solve(z, k: float, rhs: np.ndarray, cons: np.ndarray) -> tuple[np.nda
     g = _solve_modes(z2**2 * (f[:, 0:1] * weights[0] + f[:, 1:2] * weights[1]), k)
     phi_perp = from_frame(g, k, n)
     # tangential part of phi from the constraints, less that of phi_perp
-    coeffs = ginv @ np.asarray(cons, dtype=float) - proj @ phi_perp.ravel()
+    coeffs = circle.ginv @ np.asarray(cons, dtype=float) - proj @ phi_perp.ravel()
     return phi_perp + (coeffs @ tang).reshape(n, 2), float(mults[0]), mults[1:]

@@ -147,6 +147,8 @@ def curvature_radius(k: float) -> float:
     """Euclidean radius R_k = 1/sqrt(k^2 - 1) of the unit-height k-circle."""
     if not k > 1.0:
         raise ValueError(f"hyperbolic constant curvature needs k > 1, got {k}")
+    if not np.isfinite(float(k) * float(k)):
+        raise ValueError(f"curvature k = {k} is too large: k**2 overflows")
     return 1.0 / np.sqrt(k * k - 1.0)
 
 
@@ -189,40 +191,24 @@ def area_const(u: Loop, geometry: Geometry = HALFPLANE) -> float:
     return -float((u.deriv(1)[:, 0] / geometry.height(u)).mean())
 
 
-def signed_area(u: Loop, field, weights=(1.0, 0.0), geometry: Geometry = HALFPLANE) -> float:
+def signed_area(u: Loop, field, geometry: Geometry = HALFPLANE) -> float:
     """K-weighted signed area A_K(u) = mean of Q_K(u) . (i u').
 
-    Q_K is a gauge built from 1-D integrals of K, each evaluated to
-    absolute tolerance 1e-12 by adaptive Gauss-Legendre:
-
-        Q1 = w1 * h(z2)**-2 * integral_0^z1 K(t, z2) dt
-        Q2 = w2 * integral_b^z2 h(t)**-2 K(z1, t) dt
-
-    with h(t) = t and b = 1 in the half-plane, h = 1 and b = 0 in the plane.
-    Any ``weights`` with w1 + w2 = 1 gives a divergence-matched gauge, so
-    the value is gauge-independent.  The default (1, 0) takes one integral
-    per sample; on half-plane loops that N samples under-resolve (k <= 1.5)
-    it is also the more accurate gauge.
+    Q_K = (h(z2)**-2 * integral_0^z1 K(t, z2) dt, 0), with h(t) = t in the
+    half-plane and h = 1 in the plane, is a divergence-matched gauge; its
+    one integral per sample is evaluated to absolute tolerance 1e-12 by
+    adaptive Gauss-Legendre.  On half-plane loops that N samples
+    under-resolve (k <= 1.5) this gauge is more accurate than splitting
+    the integral between the two coordinates.
     """
     h = geometry.height(u)
     expr = as_field(field)
     u1 = u.samples[:, 0]
     u2 = u.samples[:, 1]
-    iup = rot90(u.deriv(1))
-    w1, w2 = weights
-    q = np.zeros_like(u.samples)
-    if w1:
-        vals = adaptive_gauss_legendre(
-            lambda idx, t: eval_field(expr, t, u2[idx]), np.zeros_like(u1), u1
-        )
-        q[:, 0] = w1 * vals / h**2
-    if w2:
-        vals = adaptive_gauss_legendre(
-            lambda idx, t: eval_field(expr, u1[idx], t) / (t**2 if geometry.curved else 1.0),
-            np.full_like(u2, geometry.area_base), u2,
-        )
-        q[:, 1] = w2 * vals
-    return dot_mean(q, iup)
+    vals = adaptive_gauss_legendre(
+        lambda idx, t: eval_field(expr, t, u2[idx]), np.zeros_like(u1), u1
+    )
+    return float((vals / h**2 * rot90(u.deriv(1))[:, 0]).mean())
 
 
 @dataclass(frozen=True)
@@ -462,7 +448,8 @@ def c2_distance(u: Loop, v: Loop) -> float:
     )
 
 
-def _fmt(x: float) -> str:
+def fmt(x) -> str:
+    """A float at 17 significant digits, which round-trips it exactly."""
     return format(float(x), ".17g")
 
 
@@ -479,8 +466,8 @@ def save_loop(path, u: Loop, meta: dict | None = None):
         writer.writerow(["j", "x1", "x2", "u1", "u2"])
         for j in range(u.n):
             writer.writerow(
-                [j, _fmt(circle[j, 0]), _fmt(circle[j, 1]),
-                 _fmt(u.samples[j, 0]), _fmt(u.samples[j, 1])]
+                [j, fmt(circle[j, 0]), fmt(circle[j, 1]),
+                 fmt(u.samples[j, 0]), fmt(u.samples[j, 1])]
             )
     if meta is not None:
         meta = dict(meta)

@@ -21,7 +21,7 @@ so the Euclidean variant runs through the same code with its flat record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -60,7 +60,6 @@ def _reference_data(k: float, n: int):
     """Reference loop, read-only tangent fields, mean |u|^2 and reference energy."""
     reference = reference_loop(k, n)
     tangent = tangent_fields(k, n)
-    tangent.flags.writeable = False
     mean_sq = float((reference.samples**2).sum(axis=1).mean())
     return reference, tangent, mean_sq, energy(reference, k).total
 
@@ -203,7 +202,9 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
     iterations = 0
     stagnant = 0
 
-    while supF > REDUCE_TOL:
+    while not supF <= REDUCE_TOL:  # a NaN residual enters the loop and fails
+        if not np.isfinite(supF):
+            raise NewtonDiverged(f"correction residual is not finite ({supF})")
         if iterations >= 40:
             raise NewtonDiverged(
                 f"correction Newton did not reach {REDUCE_TOL} in 40 iterations "
@@ -348,7 +349,11 @@ def _full_residual_sup(problem, state: ReductionState, eps: float) -> float:
 
 def solve_generic(problem, eps: float, region, grid: int = 16,
                   seed=None, warm: ReductionState | None = None) -> SolveReport:
-    """Locate the critical center, in at most 30 Newton steps, and return the solved loop there."""
+    """Locate the critical center, in at most 30 Newton steps, and return the solved loop there.
+
+    At eps = 0 every center solves: the first correction solve leaves the
+    full residual at its floor, below FULL_RESIDUAL_TOL, and no step is taken.
+    """
     if seed is None:
         seed = problem.melnikov_seed(region, grid)
     if hasattr(seed, "z1"):
@@ -356,11 +361,6 @@ def solve_generic(problem, eps: float, region, grid: int = 16,
     else:
         z = np.asarray(seed, dtype=float).copy()
     seed_tuple = (float(z[0]), float(z[1]))
-
-    if eps == 0.0:
-        state = reduce_generic(problem, 0.0, z)
-        return _finalize(problem, state, eps, z, seed_tuple)
-
     state = reduce_generic(problem, eps, z, warm=warm)
     for _ in range(30):
         if _full_residual_sup(problem, state, eps) < FULL_RESIDUAL_TOL:
@@ -445,21 +445,9 @@ def continue_generic(problem, region, eps_targets, grid: int = 16) -> Continuati
             if prev_report is None:
                 report = solve_generic(problem, eps, region, grid, seed=seed)
             else:
-                prev_state = prev_report.state
+                prev = prev_report.state
                 scale = eps / prev_report.eps if prev_report.eps else 0.0
-                warm = ReductionState(
-                    eps=eps,
-                    z=prev_state.z,
-                    k=prev_state.k,
-                    eta=prev_state.eta * scale,
-                    t=0.0,
-                    theta=prev_state.theta * scale,
-                    residual_sup=np.inf,
-                    constraint_res=prev_state.constraint_res,
-                    loop=prev_state.loop,
-                    length=prev_state.length,
-                    iterations=0,
-                )
+                warm = replace(prev, eta=prev.eta * scale, t=0.0, theta=prev.theta * scale)
                 report = solve_generic(
                     problem, eps, region, grid,
                     seed=np.asarray(prev_report.z_critical), warm=warm,

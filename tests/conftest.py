@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from hyploop._quad import disk_rule
+from hyploop._quad import adaptive_gauss_legendre, disk_rule
 from hyploop.fields import as_field, eval_field, grad_field
-from hyploop.loops import Loop, curvature_radius
+from hyploop.halfplane import HALFPLANE, rot90
+from hyploop.loops import Loop, curvature_radius, dot_mean
 
 TEST_FIELDS = [
     "1",
@@ -82,6 +83,38 @@ def interior_gradient(z1, z2, k, field, nr, na, curved=True):
             p1, p2 = a + q[:, 0], b + q[:, 1]
             out.append((w @ eval_field(d1, p1, p2), w @ eval_field(d2, p1, p2)))
     return np.array(out).T
+
+
+def split_gauge_area(u, field, weights, geometry=HALFPLANE):
+    """Oracle for the K-weighted area: the gauge split between both coordinates.
+
+    A_K(u) = mean of Q_K(u) . (i u') with
+
+        Q1 = w1 * h(z2)**-2 * integral_0^z1 K(t, z2) dt
+        Q2 = w2 * integral_b^z2 h(t)**-2 K(z1, t) dt
+
+    where h(t) = t and b = 1 in the half-plane, h = 1 and b = 0 in the
+    plane.  Any w1 + w2 = 1 gives a divergence-matched gauge, so the value
+    does not depend on the split; each integral is taken to absolute
+    tolerance 1e-12 by adaptive Gauss-Legendre.
+    """
+    h = geometry.height(u)
+    expr = as_field(field)
+    u1, u2 = u.samples[:, 0], u.samples[:, 1]
+    w1, w2 = weights
+    q = np.zeros_like(u.samples)
+    if w1:
+        vals = adaptive_gauss_legendre(
+            lambda idx, t: eval_field(expr, t, u2[idx]), np.zeros_like(u1), u1
+        )
+        q[:, 0] = w1 * vals / h**2
+    if w2:
+        vals = adaptive_gauss_legendre(
+            lambda idx, t: eval_field(expr, u1[idx], t) / (t**2 if geometry.curved else 1.0),
+            np.full_like(u2, 1.0 if geometry.curved else 0.0), u2,
+        )
+        q[:, 1] = w2 * vals
+    return dot_mean(q, rot90(u.deriv(1)))
 
 
 @pytest.fixture

@@ -307,6 +307,21 @@ class TestSolveVerifyRoundTrip:
         assert err.startswith("hyploop: numerical failure: NewtonDiverged:")
         assert "admissible set" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the field overflows on purpose
+    @pytest.mark.parametrize("command", [
+        ("reduce", "--z", "0,2"),
+        ("solve", "--box", "-0.6,0.6,1.2,2.8", "--grid", "4"),
+    ])
+    def test_nan_field_exits_4(self, capsys, tmp_path, monkeypatch, command):
+        # inf - inf: K is NaN everywhere; neither a converged correction nor
+        # evidence that the total curvature is bounded by 1
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *command, "--k", "2", "--eps", "0.01",
+                             "--field", f"{QUADRATIC} + exp(1000*z2) - exp(1000*z2)")
+        assert code == 4 and out == ""
+        assert err.startswith("hyploop: numerical failure: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_continue_command(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "continue", "--k", "2", "--field", QUADRATIC,
@@ -452,6 +467,15 @@ class TestConfigHandling:
          "--box needs 4 comma-separated numbers, got 3"),
         (("reduce", "--k", "2", "--z", "0"), {"eps_list": [1, "a"], "grid": 1},
          "--z needs 2 comma-separated numbers, got 1"),
+        # out of the domain: a center on or below the axis, a k whose square overflows
+        (("reduce", "--k", "2", "--field", "1", "--z", "0,0"), None, "--z needs z2 > 0, got 0.0"),
+        (("reduce", "--k", "2", "--field", "1", "--z", "0,-1"), None,
+         "--z needs z2 > 0, got -1.0"),
+        (("kernel", "--k", "1e200"), None, "--k is too large: its square overflows, got 1e+200"),
+        (("reduce", "--k", "1e200", "--field", "1", "--z", "0,2"), None,
+         "--k is too large: its square overflows, got 1e+200"),
+        (("euclid", "solve", "--k", "1e200", "--field", "1", "--box", "-1,1,-1,1"), None,
+         "--k is too large: its square overflows, got 1e+200"),
     ])
     def test_first_bad_setting_is_reported(self, capsys, tmp_path, monkeypatch, argv, config,
                                            message):
@@ -462,6 +486,23 @@ class TestConfigHandling:
         code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert err == f"hyploop: config error: {message}\n"
+
+    @pytest.mark.parametrize("key,command", [
+        ("k", "kernel"), ("n_samples", "kernel"), ("eps", "reduce"), ("field", "reduce"),
+        ("z", "reduce"), ("box", "melnikov"), ("grid", "melnikov"), ("out", "melnikov"),
+        ("eps_list", "continue"), ("infile", "verify"),
+    ])
+    def test_null_leaves_a_setting_unset(self, capsys, tmp_path, monkeypatch, key, command):
+        # {key: null} runs exactly as if the key were absent
+        monkeypatch.chdir(tmp_path)
+        flags = () if key == "k" else ("--k", "2")
+        results = []
+        for config in ({key: None}, {}):
+            (tmp_path / "run.json").write_text(json.dumps(config))
+            results.append(run(capsys, command, "--config", "run.json", *flags))
+        assert results[0] == results[1]
+        if key == "k":
+            assert results[0] == (3, "", "hyploop: config error: --k is required\n")
 
     @pytest.mark.parametrize("command,flags", [
         (("solve",), ["--k", "--eps", "--field", "--box", "--grid", "--n-samples", "--out"]),

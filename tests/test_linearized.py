@@ -4,7 +4,7 @@ import pytest
 from hyploop.errors import NotOrthogonal
 from hyploop.halfplane import as_point, rot90
 from hyploop.linearized import (
-    _frame,
+    _circle,
     _make_block,
     _project_kernel,
     apply_frame_operator,
@@ -94,23 +94,25 @@ class TestFrameOperator:
             assert abs(lhs - rhs) < 1e-12
 
     def test_matches_block_application(self, rng):
-        # the sampled operator and the assembled blocks are the same map
-        k = 2.0
-        g = frame_field(rng)
-        image = apply_frame_operator(g, k)
-        blocks = mode_blocks(k, N)
-        f1 = np.fft.rfft(g[:, 0])
-        f2 = np.fft.rfft(g[:, 1])
-        o1 = np.zeros_like(f1)
-        o2 = np.zeros_like(f2)
-        o1[0], o2[0] = blocks[0].matrix @ [f1[0].real, f2[0].real]
-        for b in blocks[1:]:
-            m = b.n
-            a1, b1_, a2, b2 = b.matrix @ [f1[m].real, f1[m].imag, f2[m].real, f2[m].imag]
-            o1[m] = a1 + 1j * b1_
-            o2[m] = a2 + 1j * b2
-        via_blocks = np.column_stack((np.fft.irfft(o1, n=N), np.fft.irfft(o2, n=N)))
-        assert np.abs(image - via_blocks).max() < 1e-10
+        # the block application agrees with B written out per Fourier mode m,
+        # with c = k*R_k and derivative i*m:
+        #   out1 = m**2 g1 + i c m g2
+        #   out2 = m**2 g2 - i c m g1 + R_k**2 g2    (m >= 1)
+        #   out2 = R_k**2 (1 - k**2) g2              (m = 0)
+        # with no cross terms at the Nyquist mode
+        for k in K_VALUES:
+            g = frame_field(rng)
+            rk = curvature_radius(k)
+            m = np.fft.rfftfreq(N, d=1.0 / N)
+            cross = k * rk * m
+            cross[-1] = 0.0
+            g1, g2 = np.fft.rfft(g[:, 0]), np.fft.rfft(g[:, 1])
+            out1 = m**2 * g1 + 1j * cross * g2
+            out2 = (m**2 + rk**2) * g2 - 1j * cross * g1
+            out2[0] = rk**2 * (1.0 - k**2) * g2[0]
+            formula = np.column_stack((np.fft.irfft(out1, n=N), np.fft.irfft(out2, n=N)))
+            image = apply_frame_operator(g, k)
+            assert np.abs(image - formula).max() < 1e-10
 
 
 class TestModeBlocks:
@@ -248,7 +250,7 @@ def frozen_solve_oracle(z, k, rhs, cons):
     """
     zp = as_point(z)
     n = rhs.shape[0]
-    base, _, _ = _frame(k, n)
+    base = _circle(k, n).base
     tang = tangent_fields(k, n)
     gram = np.array([[dot_mean(a, b) for b in tang] for a in tang])
     mults = np.linalg.solve(gram, -np.array([dot_mean(rhs, t) for t in tang]))

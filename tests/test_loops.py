@@ -31,7 +31,7 @@ from hyploop.loops import (
 from hyploop.melnikov import melnikov_value
 from hyploop.reduction import solve_full
 
-from conftest import band_limited_field, band_limited_loop, count_ffts
+from conftest import band_limited_field, band_limited_loop, count_ffts, split_gauge_area
 
 QUADRATIC = parse_field("z1^2 + (z2-2)^2")
 
@@ -148,6 +148,12 @@ class TestLength:
         with pytest.raises(DegenerateLoop):
             loop_length(Loop(np.tile([0.0, 1.0], (64, 1))))
 
+    @pytest.mark.parametrize("k", [1e200, np.float64(1e160), np.inf])
+    def test_curvature_whose_square_overflows_rejected(self, k):
+        # 1/sqrt(k**2 - 1) would be 0: a circle of radius 0, not an error
+        with pytest.raises(ValueError, match="too large"):
+            curvature_radius(k)
+
 
 class TestSignedArea:
     def test_unit_field_closed_form(self):
@@ -165,8 +171,15 @@ class TestSignedArea:
         u = band_limited_loop(rng)
         expr = parse_field(text)
         default = signed_area(u, expr)
-        for weights in ((0.5, 0.5), (0.0, 1.0), (0.3, 0.7)):
-            assert signed_area(u, expr, weights=weights) == pytest.approx(default, abs=1e-10)
+        for weights in ((1.0, 0.0), (0.5, 0.5), (0.0, 1.0), (0.3, 0.7)):
+            assert split_gauge_area(u, expr, weights) == pytest.approx(default, abs=1e-10)
+
+    @pytest.mark.parametrize("text", ["1", "z2", "z1^2 + (z2-2)^2", "tanh(z1)"])
+    def test_flat_gauge_independence(self, text, rng):
+        u = band_limited_loop(rng, center=(0.3, -0.2))
+        default = signed_area(u, text, geometry=FLAT)
+        for weights in ((1.0, 0.0), (0.5, 0.5), (0.0, 1.0)):
+            assert split_gauge_area(u, text, weights, FLAT) == pytest.approx(default, abs=1e-10)
 
     def test_default_gauge_takes_one_integral(self, monkeypatch):
         # on a loop that 256 samples under-resolve (k = 1.3, scaled by 2.2)
@@ -177,7 +190,7 @@ class TestSignedArea:
 
         text = "exp(-z1^2)*sin(z2) + tanh(z1*z2)"
         ref = signed_area(loop(2048), text)
-        assert abs(signed_area(loop(256), text, weights=(0.5, 0.5)) - ref) > 1e-7
+        assert abs(split_gauge_area(loop(256), text, (0.5, 0.5)) - ref) > 1e-7
         calls = []
 
         def counted(*args, _fn=loops.adaptive_gauss_legendre, **kwargs):

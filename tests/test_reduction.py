@@ -74,6 +74,12 @@ class TestReduceAt:
             reduce_at(50.0, (0.0, 2.0), K, QUADRATIC)
         assert info.type.__name__ in ("NewtonDiverged", "StepTooLarge")
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the field overflows on purpose
+    def test_non_finite_residual_diverges(self):
+        # inf - inf: K is NaN everywhere, and a NaN residual is not below any tolerance
+        with pytest.raises(NewtonDiverged, match="residual is not finite"):
+            reduce_at(0.01, (0.0, 2.0), K, "exp(1000*z2) - exp(1000*z2)")
+
     def test_center_below_the_guard_diverges(self):
         with pytest.raises(NewtonDiverged, match="admissible set"):
             reduce_at(0.01, (0.0, 1e-7), K, QUADRATIC)
