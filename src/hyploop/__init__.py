@@ -16,7 +16,6 @@ from .errors import (
     HyploopError,
     NewtonDiverged,
     NoCritical,
-    NonDifferentiable,
     NotEmbedded,
     NotOrthogonal,
     QuadratureFailure,
@@ -36,7 +35,6 @@ from .halfplane import (
     HyperPoint,
     HypDisk,
     christoffel,
-    christoffel_jac,
     disk_to_euclid,
     geodesic_curvature,
     hyp_distance,
@@ -105,7 +103,6 @@ __all__ = [
     "MelnikovSample",
     "NewtonDiverged",
     "NoCritical",
-    "NonDifferentiable",
     "NonexistenceReport",
     "NotEmbedded",
     "NotOrthogonal",
@@ -121,7 +118,6 @@ __all__ = [
     "asymptotic_check",
     "check_nonexistence",
     "christoffel",
-    "christoffel_jac",
     "continue_eps",
     "curvature_radius",
     "disk_to_euclid",

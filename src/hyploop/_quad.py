@@ -37,7 +37,8 @@ def adaptive_gauss_legendre(f, lo, hi, tol=1e-12, order=24, max_depth=24):
     active panel errors is below ``tol``; otherwise only panels above their
     width-proportional share get bisected), so an isolated kink costs a
     logarithmic number of levels instead of a linear one.  Raises
-    QuadratureFailure past ``max_depth`` levels.
+    QuadratureFailure past ``max_depth`` levels, or at the first panel
+    whose estimate is not finite.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -52,6 +53,11 @@ def adaptive_gauss_legendre(f, lo, hi, tol=1e-12, order=24, max_depth=24):
         coarse = _panel_values(f, cur_lo, cur_hi, cur_idx, order)
         fine = _panel_values(f, cur_lo, cur_hi, cur_idx, 2 * order)
         err = np.abs(fine - coarse)
+        finite = np.isfinite(err)
+        if not finite.all():  # bisecting a NaN panel never resolves it
+            i = int(np.argmin(finite))
+            raise QuadratureFailure(f"adaptive Gauss-Legendre: non-finite estimate on panel "
+                                    f"[{cur_lo[i]:.6g}, {cur_hi[i]:.6g}]")
         total_err = np.zeros(lo.size)
         np.add.at(total_err, cur_idx, err)
         finished = total_err[cur_idx] <= tol

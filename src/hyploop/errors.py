@@ -22,11 +22,10 @@ class FieldSyntaxError(HyploopError):
 
 
 class EvalDomainError(HyploopError):
-    """Field evaluation left the domain (log/sqrt of a negative, division by zero)."""
+    """Field evaluation left the domain (log/sqrt of a negative, division by zero).
 
-
-class NonDifferentiable(HyploopError):
-    """Symbolic gradient queried where the field is not differentiable (abs at 0)."""
+    The Melnikov gradient raises it too where K is not finite on a disk boundary.
+    """
 
 
 class DegenerateLoop(HyploopError):

@@ -51,7 +51,7 @@ def apply_linearization_euclid(phi: np.ndarray, k: float) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     n = phi.shape[0]
     m = _complex_modes(n)
-    (c,) = denoise_spectrum(np.fft.fft(phi[:, 0] + 1j * phi[:, 1]) / n)
+    c = denoise_spectrum(np.fft.fft(phi[:, 0] + 1j * phi[:, 1]) / n)
     out = (m**2 - m) * c
     idx = int(np.where(m == 1.0)[0][0])
     out[idx] = -c[idx].real

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EvalDomainError, FieldSyntaxError, NonDifferentiable
+from .errors import EvalDomainError, FieldSyntaxError
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "tanh", "atan", "sqrt", "abs")
 VARIABLES = ("z1", "z2")
@@ -157,11 +157,10 @@ class Fn(FieldExpr):
             return _div(da, _add(Const(1.0), BinOp("^", a, Const(2.0))))
         if self.name == "sqrt":
             return _div(da, _mul(Const(2.0), Fn("sqrt", a)))
-        # abs: derivative is signum(a) * da, undefined where a == 0.  The
-        # signum guard raises only when actually evaluated at a zero of a,
-        # so gradients of fields using abs stay usable on regions where the
-        # argument never vanishes.
-        return _mul(Fn("signum", a), da)
+        # abs: a / abs(a) is sign(a) wherever a is finite and nonzero; the
+        # division check raises EvalDomainError only at an actual zero of a,
+        # so gradients of fields using abs stay usable where a never vanishes.
+        return _mul(_div(a, self), da)
 
 
 def _wrap(node: FieldExpr, min_prec: int) -> str:
@@ -222,14 +221,11 @@ def _div(a, b):
 
 _NUMPY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
           "^": np.power, "neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
-          "log": np.log, "tanh": np.tanh, "atan": np.arctan, "sqrt": np.sqrt, "abs": np.abs,
-          "signum": np.sign}
+          "log": np.log, "tanh": np.tanh, "atan": np.arctan, "sqrt": np.sqrt, "abs": np.abs}
 # domain checks: the test on the operands that fails, the error, its message
 _CHECKS = {
     "log": (lambda v: v <= 0.0, EvalDomainError, "log of non-positive value in {!r}"),
     "sqrt": (lambda v: v < 0.0, EvalDomainError, "sqrt of negative value in {!r}"),
-    "signum": (lambda v: v == 0.0, NonDifferentiable,
-               "gradient of abs(...) queried where its argument vanishes"),
     "/": (lambda x, y: y == 0.0, EvalDomainError, "division by zero in {!r}"),
     "0^-": (lambda x, y: (x == 0.0) & (y < 0.0), EvalDomainError,
             "0 raised to a negative power in {!r}"),
@@ -250,7 +246,7 @@ def _compile(node):
     """Numpy closure (z1, z2) -> K for the tree under ``node``.
 
     Constants stay scalars and ``x^1`` is its base.  Checks are kept for log,
-    sqrt, signum, division unless by a nonzero constant, and ``^`` unless the
+    sqrt, division unless by a nonzero constant, and ``^`` unless the
     exponent is a non-negative integer constant.  Children are compiled through
     ``map``: one Python frame per tree level, as in evaluation.
     """
@@ -545,8 +541,8 @@ def check_nonexistence(field, box: RegionBox, samples: int = 32) -> Nonexistence
     """Evaluate the nonexistence conditions for K on a sample grid.
 
     ``samples`` is the per-axis grid size (>= 2).  Gradient conditions are
-    skipped (reported False) when the field is not differentiable on the
-    grid.
+    skipped (reported False) when the gradient is undefined somewhere on the
+    grid (a kink of abs, or a sqrt at 0).
     """
     if samples < 2:
         raise ValueError("need at least 2 samples per axis")
@@ -557,7 +553,7 @@ def check_nonexistence(field, box: RegionBox, samples: int = 32) -> Nonexistence
     sup_abs = float(np.abs(vals).max())
     try:
         d1, d2 = eval_grad(expr, z1, z2)
-    except NonDifferentiable:
+    except EvalDomainError:
         mono = (False, False, False)
     else:
         radial = z1 * d1 + z2 * d2

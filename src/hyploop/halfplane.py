@@ -91,13 +91,6 @@ def christoffel(v) -> np.ndarray:
     return np.stack((2.0 * v[..., 0] * v[..., 1], v[..., 1] ** 2 - v[..., 0] ** 2), axis=-1)
 
 
-def christoffel_jac(v, w) -> np.ndarray:
-    """Differential of ``christoffel`` at v applied to w: 2*(w2*v - w1*i*v)."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return 2.0 * (w[..., 1:2] * v - w[..., 0:1] * rot90(v))
-
-
 def translate(z, u):
     """Apply the hyperbolic translation ``u -> z1*e1 + z2*u``.
 

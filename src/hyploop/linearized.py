@@ -132,22 +132,16 @@ def tangent_fields(k: float, n: int) -> np.ndarray:
 SPECTRAL_NOISE_RTOL = 1e-15  # coefficients below this (relative) are FFT roundoff
 
 
-def denoise_spectrum(*coeff_arrays):
-    """Zero coefficients at the double-precision noise floor of the set.
+def denoise_spectrum(c: np.ndarray) -> np.ndarray:
+    """Zero the coefficients at the double-precision noise floor of c.
 
     A mode whose coefficient is below ~4.5 ulp of the largest one carries no
     information; zeroing it keeps the m**2 wavenumber multipliers from
     amplifying FFT roundoff on band-limited inputs.
     """
-    scale = max(np.abs(c).max() for c in coeff_arrays)
-    if scale == 0.0:
-        return coeff_arrays
-    out = []
-    for c in coeff_arrays:
-        c = c.copy()
-        c[np.abs(c) < SPECTRAL_NOISE_RTOL * scale] = 0.0
-        out.append(c)
-    return out
+    c = c.copy()
+    c[np.abs(c) < SPECTRAL_NOISE_RTOL * np.abs(c).max()] = 0.0
+    return c
 
 
 def apply_frame_operator(g: np.ndarray, k: float) -> np.ndarray:
@@ -158,7 +152,7 @@ def apply_frame_operator(g: np.ndarray, k: float) -> np.ndarray:
     """
     g = np.asarray(g, dtype=float)
     n = g.shape[0]
-    (c,) = denoise_spectrum(np.fft.rfft(g, axis=0))
+    c = denoise_spectrum(np.fft.rfft(g, axis=0))
     return _per_mode(c, _circle(k, n).blocks, n)
 
 

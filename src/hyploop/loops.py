@@ -352,19 +352,8 @@ def _all_pairs_simple(pts: np.ndarray) -> bool:
     return True
 
 
-def killing_integrals(u: Loop, k: float, eps: float = 0.0, field=None,
-                      geometry: Geometry = HALFPLANE) -> np.ndarray:
-    """Boundary pairings of the prescribed curvature with the Killing fields.
-
-    I_X = mean of h**-2 (k + eps*K(u)) X(u) . (i u') for the three Killing
-    fields X of the geometry (e1, z, z^2 in the half-plane, e1, e2, iz in
-    the plane); all three vanish on exact solutions.
-    """
-    h = geometry.height(u)
-    return _killing(u, _prescribed(u, k, eps, field) / h**2, geometry)
-
-
 def _killing(u: Loop, w: np.ndarray, geometry: Geometry) -> np.ndarray:
+    """Means of w X(u) . (i u') over the Killing fields X; 0 at solutions if w = (k+eps*K)/h**2."""
     iup = rot90(u.deriv(1))
     return np.array([(w * (x * iup).sum(axis=1)).mean() for x in geometry.killing(u.samples)])
 

@@ -30,7 +30,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from ._quad import disk_rule
-from .errors import NoCritical, QuadratureFailure
+from .errors import EvalDomainError, NoCritical, QuadratureFailure
 from .fields import RegionBox, as_field, eval_field
 from .halfplane import HALFPLANE, Geometry, as_point
 from .loops import curvature_radius
@@ -65,29 +65,22 @@ def melnikov_grid(z1, z2, k: float, field, nr: int = NR_DEFAULT, na: int = NA_DE
     return out
 
 
-def melnikov_value(
-    z, k: float, field,
-    nr: int = NR_DEFAULT, na: int = NA_DEFAULT,
-    rtol: float = 1e-9, max_doublings: int = 3,
-    geometry: Geometry = HALFPLANE,
-) -> float:
+def melnikov_value(z, k: float, field, geometry: Geometry = HALFPLANE) -> float:
     """F at a single center, refining the rule until it stabilizes.
 
-    The orders double until successive values agree to ``rtol`` relative
-    to max(1, |F|); smooth fields stop at the first comparison.
+    From NR_DEFAULT x NA_DEFAULT the orders double, at most 3 times, until
+    successive values agree to 1e-9 relative to max(1, |F|); smooth fields
+    stop at the first comparison.
     """
     z1, z2 = astuple(as_point(z)) if geometry.curved else (z[0], z[1])
     value_grid = geometry.disk[0] if geometry.disk else melnikov_grid
-    prev = float(value_grid([z1], [z2], k, field, nr, na)[0])
-    for _ in range(max_doublings):
-        nr, na = 2 * nr, 2 * na
-        cur = float(value_grid([z1], [z2], k, field, nr, na)[0])
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
+    prev = float(value_grid([z1], [z2], k, field, NR_DEFAULT, NA_DEFAULT)[0])
+    for m in (2, 4, 8):
+        cur = float(value_grid([z1], [z2], k, field, m * NR_DEFAULT, m * NA_DEFAULT)[0])
+        if abs(cur - prev) <= 1e-9 * max(1.0, abs(cur)):
             return cur
         prev = cur
-    raise QuadratureFailure(
-        f"disk rule did not stabilize to rtol={rtol} after {max_doublings} doublings"
-    )
+    raise QuadratureFailure("disk rule did not stabilize to rtol=1e-09 after 3 doublings")
 
 
 def melnikov_gradient_grid(z1, z2, k: float, field):
@@ -110,7 +103,8 @@ def _boundary_gradient(z1, z2, field, lift, r0, r1, curved):
     so each center's mean of K is taken off first.  The trapezoid sum on nb
     nodes is checked against the nb/2 sum on its even nodes: a center off by
     more than both 0.1*GRAD_TOL*max(1, |grad F|) and the rounding of K is
-    redone alone on 2*nb nodes, from 2*NA_DEFAULT up to 16*NA_DEFAULT.
+    redone alone on 2*nb nodes, from 2*NA_DEFAULT up to 16*NA_DEFAULT.  The
+    first center with a non-finite K on its boundary raises EvalDomainError.
     """
     expr = as_field(field)
     z1 = np.asarray(z1, dtype=float).ravel()
@@ -124,6 +118,11 @@ def _boundary_gradient(z1, z2, field, lift, r0, r1, curved):
             r = (r0 + r1 * z2[todo])[:, None]
             p2 = lift * z2[todo, None] + r * n2
             kv = eval_field(expr, z1[todo, None] + r * n1, p2)
+            bad = ~np.isfinite(kv).all(axis=1)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise EvalDomainError(f"field is not finite on the disk boundary of center "
+                                      f"({z1[todo[i]]:.6g}, {z2[todo[i]]:.6g})")
             scale = r / (p2**2 if curved else 1.0)
             f = (kv - kv.mean(axis=1, keepdims=True)) * scale
             terms = (f * n1, f * (lift * n2 + r1))
@@ -196,11 +195,6 @@ class CriticalSearch:
     interior_min: bool
     interior_max: bool
     grid: tuple[np.ndarray, ...]
-
-    def require_points(self) -> tuple[MelnikovSample, ...]:
-        if not self.points:
-            raise NoCritical(self.note or "no critical point found in the region")
-        return self.points
 
 
 def _fd_jacobian(grad_fn, z, h):

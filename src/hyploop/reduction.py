@@ -339,7 +339,7 @@ class SolveReport:
     defects: VerifyReport
     c0_dist: float
     c2_dist: float
-    state: ReductionState | None
+    state: ReductionState
     melnikov_seed: tuple[float, float] | None = None
 
 
@@ -429,10 +429,6 @@ class ContinuationResult:
     reports: list[SolveReport] = dataclass_field(default_factory=list)
     eps_bar: float = 0.0          # largest |eps| that solved
     failure: tuple[float, str] | None = None
-
-    @property
-    def solved_eps(self) -> list[float]:
-        return [r.eps for r in self.reports]
 
 
 def continue_generic(problem, region, eps_targets, grid: int = 16) -> ContinuationResult:

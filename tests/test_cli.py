@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hyploop import euclidean, fields, melnikov
+import hyploop
+from hyploop import cli, euclidean, fields, melnikov
 from hyploop.cli import main, to_json
+from hyploop.errors import DegenerateLoop, HyploopError, NotOrthogonal
 from hyploop.fields import PlaneBox, RegionBox
 from hyploop.loops import Loop, reference_loop, save_loop
 
@@ -159,6 +165,16 @@ class TestKernelCommand:
         zero_modes = {row["n"]: row["zeros"] for row in report["per_mode"] if row["zeros"]}
         assert zero_modes == {"0": 1, "1": 2} or zero_modes == {0: 1, 1: 2}
 
+    @pytest.mark.parametrize("error", [DegenerateLoop, NotOrthogonal, HyploopError])
+    def test_every_numerical_error_exits_4_with_the_prefix(self, capsys, monkeypatch, error):
+        def failing(k, n):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "kernel_report", failing)
+        code, out, err = run(capsys, "kernel", "--k", "2")
+        assert (code, out) == (4, "")
+        assert err == f"hyploop: numerical failure: {error.__name__}: boom\n"
+
 
 class TestSolveVerifyRoundTrip:
     def test_solve_then_verify(self, capsys, tmp_path):
@@ -307,8 +323,7 @@ class TestSolveVerifyRoundTrip:
         assert err.startswith("hyploop: numerical failure: NewtonDiverged:")
         assert "admissible set" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the field overflows on purpose
-    @pytest.mark.parametrize("command", [
+    @pytest.mark.parametrize("command", [  # main silences numpy's overflow warnings
         ("reduce", "--z", "0,2"),
         ("solve", "--box", "-0.6,0.6,1.2,2.8", "--grid", "4"),
     ])
@@ -543,3 +558,30 @@ class TestConfigHandling:
             main([*command, "--k", "2", "--field", QUADRATIC, "--box", "-0.6,0.6,1.2,2.8",
                   "--threads", "4"])
         assert info.value.code == 3
+
+
+def run_process(*argv, cwd):
+    """``python -m hyploop.cli`` in a fresh interpreter, with warnings shown as usual."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hyploop.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestProcess:
+    @pytest.mark.parametrize("command", [
+        ("reduce", "--field", "exp(1000*z2)-exp(1000*z2)", "--z", "0,2"),
+        ("solve", "--field", "z1^2+(z2-2)^2+exp(1000*z2)-exp(1000*z2)",
+         "--box", "-0.6,0.6,1.2,2.8", "--grid", "4"),
+    ])
+    def test_overflowing_field_prints_one_stderr_line(self, tmp_path, command):
+        proc = run_process("-m", "hyploop.cli", command[0], "--k", "2", "--eps", "0.01",
+                           *command[1:], cwd=tmp_path)
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert proc.stderr.startswith("hyploop: numerical failure: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_cli_import_leaves_scipy_out(self, tmp_path):
+        proc = run_process("-c", "import sys, hyploop.cli; print('scipy' in sys.modules)",
+                           cwd=tmp_path)
+        assert proc.stdout == "False\n", proc.stderr

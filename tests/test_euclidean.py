@@ -150,7 +150,7 @@ class TestSolve:
     def test_continuation(self):
         result = continue_generic(EuclideanProblem(K, QUADRATIC, 256), BOX, [0.001, 0.01, 0.05],
                                   grid=12)
-        assert result.solved_eps == [0.001, 0.01, 0.05]
+        assert [r.eps for r in result.reports] == [0.001, 0.01, 0.05]
         assert result.failure is None
 
     def test_constant_perturbation_matches_rescaled_circles(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyploop.errors import EvalDomainError, FieldSyntaxError, NonDifferentiable
+from hyploop.errors import EvalDomainError, FieldSyntaxError
 from hyploop.fields import (
     FUNCTIONS,
     VARIABLES,
@@ -41,7 +41,7 @@ def evaluate(tree, z1, z2):
     with np.errstate(all="ignore"):
         try:
             return np.float64(eval_field(tree, z1, z2))
-        except (EvalDomainError, NonDifferentiable):
+        except EvalDomainError:
             return None
 
 
@@ -157,7 +157,7 @@ class TestGradient:
 
     def test_abs_gradient_at_zero_raises(self):
         expr = parse_field("abs(z1 - 1)")
-        with pytest.raises(NonDifferentiable):
+        with pytest.raises(EvalDomainError):
             eval_grad(expr, 1.0, 1.0)
 
     def test_hyperbolic_gradient_same_zero_set(self, rng):
@@ -280,9 +280,10 @@ class TestDomain:
         assert str(info.value) == message
 
     def test_abs_gradient_at_zero(self):
-        with pytest.raises(NonDifferentiable) as info:
+        # d abs(a) = a / abs(a) * da: the division check fires where a vanishes
+        with pytest.raises(EvalDomainError) as info:
             eval_grad(parse_field("abs(z1)"), 0.0, 1.0)
-        assert str(info.value) == "gradient of abs(...) queried where its argument vanishes"
+        assert str(info.value) == "division by zero in 'z1 / abs(z1)'"
 
     def test_overflow_gives_inf_not_an_error(self):
         with pytest.warns(RuntimeWarning):
@@ -304,8 +305,6 @@ class TestRoundTrip:
     def test_random_trees_and_their_derivatives_reparse_bitwise(self, expr):
         trees = [expr, expr.diff("z1"), expr.diff("z2")]
         for tree in trees:
-            if "signum" in tree.text():  # the gradient of abs(...) has no text spelling
-                continue
             again = parse_field(tree.text())
             for z1, z2 in SAMPLE_POINTS:
                 a, b = evaluate(tree, z1, z2), evaluate(again, z1, z2)
@@ -319,6 +318,14 @@ class TestRoundTrip:
             again = parse_field(node.text())
             z1 = rng.uniform(-2, 2, 50)
             z2 = rng.uniform(0.5, 3, 50)
+            assert np.array_equal(eval_field(node, z1, z2), eval_field(again, z1, z2))
+
+    def test_abs_derivative_prints_reparse(self):
+        # d abs(a) prints as a / abs(a) * da, which the parser reads back
+        assert parse_field(grad_field(parse_field("abs(z1)"))[0].text()).text() == "z1 / abs(z1)"
+        z1, z2 = np.array([-2.0, 0.5, 3.0]), np.array([0.5, 1.0, 2.0])
+        for node in grad_field(parse_field("abs(z1 - 1) * z2")):
+            again = parse_field(node.text())
             assert np.array_equal(eval_field(node, z1, z2), eval_field(again, z1, z2))
 
 
@@ -361,6 +368,13 @@ class TestNonexistence:
     def test_unbounded_quadratic_not_blocked(self):
         rep = check_nonexistence("z1^2 + (z2-2)^2", RegionBox(-3, 3, 0.5, 4), samples=16)
         assert not rep.blocked
+
+    @pytest.mark.parametrize("text", ["abs(z1) + 3", "sqrt(z1^2) + 3"])
+    def test_kink_on_the_grid_skips_gradient_conditions(self, text):
+        # the grid holds z1 = 0, where the gradient is undefined; K itself is fine
+        rep = check_nonexistence(text, RegionBox(-1, 1, 1, 2), samples=5)
+        assert rep.sup_abs == 4.0
+        assert not (rep.monotone_e1 or rep.monotone_radial or rep.monotone_squared)
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from hyploop.halfplane import (
     HypDisk,
     HyperPoint,
     christoffel,
-    christoffel_jac,
     disk_to_euclid,
     geodesic_curvature,
     hyp_distance,
@@ -76,18 +75,6 @@ class TestChristoffel:
     def test_values(self):
         assert np.allclose(christoffel([0.0, 1.0]), [0.0, 1.0])
         assert np.allclose(christoffel([1.0, 0.0]), [0.0, -1.0])
-
-    def test_jacobian_value(self):
-        assert np.allclose(christoffel_jac([0.0, 1.0], [1.0, 0.0]), [2.0, 0.0])
-
-    def test_jacobian_matches_finite_differences(self, rng):
-        # the map is quadratic, so central differences are exact up to rounding
-        for _ in range(10):
-            v = rng.normal(size=2)
-            w = rng.normal(size=2)
-            for h in (1e-4, 1e-5):
-                fd = (christoffel(v + h * w) - christoffel(v - h * w)) / (2 * h)
-                assert np.abs(fd - christoffel_jac(v, w)).max() < 1e-9
 
 
 class TestTranslate:

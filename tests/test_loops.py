@@ -18,7 +18,6 @@ from hyploop.loops import (
     dot_mean,
     energy,
     is_embedded,
-    killing_integrals,
     load_loop,
     loop_length,
     reference_loop,
@@ -354,7 +353,10 @@ class TestVerify:
         assert rep.residual_sup == np.abs(residual(u, k, eps, QUADRATIC, geometry)).max()
         assert rep.speed_defect == np.abs(speed - rep.length).max()
         assert rep.curvature_defect == np.abs(geodesic_curvature(u, geometry) - target).max()
-        assert np.array_equal(rep.killing, killing_integrals(u, k, eps, QUADRATIC, geometry))
+        # I_X = mean of h**-2 (k + eps*K(u)) X(u) . (i u') over the three Killing fields X
+        w, iup = target / geometry.height(u) ** 2, rot90(u.deriv(1))
+        killing = [(w * (x * iup).sum(axis=1)).mean() for x in geometry.killing(u.samples)]
+        assert np.array_equal(rep.killing, killing)
 
     def test_winding_of_reference(self):
         assert winding_number(reference_loop(3.0, 64)) == 1
@@ -475,6 +477,34 @@ class TestAdaptiveQuadrature:
         exact = 0.5 * (0.3333**2 + (1 - 0.3333) ** 2)
         assert val == pytest.approx(exact, abs=1e-12)
 
+    def test_nan_integrand_raises_at_the_first_level(self):
+        # a NaN panel never meets its tolerance: bisecting it would double it per level
+        from hyploop._quad import adaptive_gauss_legendre
+        from hyploop.errors import QuadratureFailure
+
+        calls = []
+
+        def f(idx, t):
+            calls.append(t.size)
+            assert len(calls) <= 2, "bisected a non-finite panel"
+            return np.where(t > 0.5, np.nan, t)
+
+        with pytest.raises(QuadratureFailure, match="non-finite estimate on panel"):
+            adaptive_gauss_legendre(f, np.array([0.0, 0.0]), np.array([0.25, 1.0]))
+        assert len(calls) == 2
+
+    def test_signed_area_of_a_field_nan_off_the_loop_raises(self):
+        # K is finite on the loop but NaN on the segments from z1 = 0 that the gauge integrates
+        from hyploop.errors import QuadratureFailure
+
+        u = translate((4.0, 2.0), reference_loop(2.0, 256))
+        band = "exp(1e4*(z1-1)*(2-z1))"
+        field = parse_field(f"z1^2 + (z2-2)^2 + {band} - {band}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(eval_field(field, u.samples[:, 0], u.samples[:, 1])).all()
+            with pytest.raises(QuadratureFailure, match="non-finite"):
+                signed_area(u, field)
+
     def test_depth_exhaustion_raises(self):
         from hyploop._quad import adaptive_gauss_legendre
         from hyploop.errors import QuadratureFailure
@@ -489,8 +519,9 @@ class TestAdaptiveQuadrature:
         from hyploop.errors import QuadratureFailure
         from hyploop.melnikov import melnikov_value
 
-        with pytest.raises(QuadratureFailure):
-            melnikov_value((0.0, 2.0), 2.0, QUADRATIC, rtol=0.0, max_doublings=1)
+        # the kink of K crosses the center: the doubled rules never agree to 1e-9
+        with pytest.raises(QuadratureFailure, match="did not stabilize"):
+            melnikov_value((0.3, 2.0), 2.0, "abs(z1 - 0.3) + (z2-2)^2")
 
 
 class TestLoopIO:

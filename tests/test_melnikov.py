@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate
 
 from hyploop import euclidean, melnikov
-from hyploop.errors import NoCritical, QuadratureFailure
+from hyploop.errors import EvalDomainError, NoCritical, QuadratureFailure
 from hyploop.euclidean import FLAT, melnikov_gradient_grid_euclid
 from hyploop.fields import RegionBox, parse_field
 from hyploop.halfplane import HALFPLANE, translate
@@ -84,14 +84,29 @@ class TestValue:
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_quadrature_refinement_stable(self):
-        a = melnikov_value((0.2, 1.5), 2.0, QUADRATIC, nr=64, na=128)
-        b = melnikov_value((0.2, 1.5), 2.0, QUADRATIC, nr=128, na=256)
-        assert abs(a - b) < 1e-10
+        a = melnikov_grid([0.2], [1.5], 2.0, QUADRATIC, 64, 128)
+        b = melnikov_grid([0.2], [1.5], 2.0, QUADRATIC, 128, 256)
+        assert abs(a - b)[0] < 1e-10
 
 
 class TestGradient:
     def test_constant_field(self):
         assert np.abs(melnikov_gradient((0.4, 1.1), 2.0, "1")).max() < 1e-12
+
+    def test_non_finite_field_names_the_first_such_center(self, monkeypatch):
+        # exp(400*p2) overflows on the boundary circle of (0, 2) but not on that of (0, 1)
+        calls = []
+
+        def counted(*args, _fn=melnikov.eval_field):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(melnikov, "eval_field", counted)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EvalDomainError, match=r"disk boundary of center \(0, 2\)$"):
+                melnikov_gradient_grid([0.0, 0.0], [1.0, 2.0], 2.0,
+                                       "exp(400*z2) - exp(400*z2)")
+        assert len(calls) == 1  # no doubling of the nodes
 
     @pytest.mark.parametrize(
         "text", ["z2", "z1^2 + (z2-2)^2", "tanh(z1)", "sin(z1) * cos(z2)", "exp(-z2)"]
@@ -219,7 +234,7 @@ class TestCriticalSearch:
         assert search.points == ()
         assert "constant" in search.note
         with pytest.raises(NoCritical):
-            search.require_points()
+            critical_point(2.0, "1", self.BOX, grid=8)
 
     def test_quadratic_minimum(self):
         search = find_critical(2.0, QUADRATIC, self.BOX, grid=12)

@@ -211,7 +211,7 @@ class TestSolveFull:
 class TestContinuation:
     def test_chain_solves_all_small_targets(self):
         result = continue_eps(K, QUADRATIC, BOX, [0.001, 0.01, 0.05], grid=12)
-        assert result.solved_eps == [0.001, 0.01, 0.05]
+        assert [r.eps for r in result.reports] == [0.001, 0.01, 0.05]
         assert result.eps_bar == 0.05
         assert result.failure is None
         for rep in result.reports:
@@ -220,7 +220,7 @@ class TestContinuation:
 
     def test_chain_truncates_at_failure(self):
         result = continue_eps(K, QUADRATIC, BOX, [0.01, 60.0], grid=12)
-        assert result.solved_eps == [0.01]
+        assert [r.eps for r in result.reports] == [0.01]
         assert result.eps_bar == 0.01
         assert result.failure is not None
         assert result.failure[0] == 60.0
@@ -235,7 +235,7 @@ class TestContinuation:
 
         monkeypatch.setattr(reduction, "solve_generic", failing)
         result = continue_eps(K, QUADRATIC, BOX, [0.001, 0.01], grid=12)
-        assert result.solved_eps == [0.001]
+        assert [r.eps for r in result.reports] == [0.001]
         assert result.failure == (0.01, "NewtonDiverged: stagnated")
 
     def test_programming_error_propagates(self, monkeypatch):
