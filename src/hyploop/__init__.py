@@ -17,7 +17,6 @@ from .errors import (
     NewtonDiverged,
     NoCritical,
     NotEmbedded,
-    NotOrthogonal,
     QuadratureFailure,
     StepTooLarge,
 )
@@ -47,7 +46,6 @@ from .linearized import (
     kernel_basis,
     kernel_report,
     mode_blocks,
-    solve_frame_operator,
     to_frame,
 )
 from .loops import (
@@ -71,7 +69,6 @@ from .melnikov import (
     MelnikovSample,
     asymptotic_check,
     find_critical,
-    melnikov_gradient,
     melnikov_value,
 )
 from .reduction import (
@@ -105,7 +102,6 @@ __all__ = [
     "NoCritical",
     "NonexistenceReport",
     "NotEmbedded",
-    "NotOrthogonal",
     "PlaneBox",
     "QuadratureFailure",
     "ReductionState",
@@ -132,7 +128,6 @@ __all__ = [
     "kernel_report",
     "load_loop",
     "loop_length",
-    "melnikov_gradient",
     "melnikov_value",
     "mode_blocks",
     "parse_field",
@@ -143,7 +138,6 @@ __all__ = [
     "residual",
     "save_loop",
     "signed_area",
-    "solve_frame_operator",
     "solve_full",
     "to_frame",
     "translate",

@@ -118,11 +118,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_floats(value, count: int, what: str) -> list[float]:
-    """Finite floats from comma-separated text, a sequence or a single number."""
+    """Finite floats from comma-separated text, a list or a single number; no bool."""
+    items = value.split(",") if isinstance(value, str) else value
+    items = items if isinstance(items, list) else [items]
     try:
-        items = value.split(",") if isinstance(value, str) else np.atleast_1d(value).tolist()
+        if any(isinstance(v, bool) for v in items):  # float(True) would read 1
+            raise TypeError
         values = [float(v) for v in items]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int past float range
         raise ConfigError(f"{what} must be comma-separated numbers, got {value!r}")
     if count and len(values) != count:
         raise ConfigError(f"{what} needs {count} comma-separated numbers, got {len(values)}")
@@ -315,9 +318,13 @@ def _cmd_verify(cfg: RunConfig) -> int:
         "in": str(cfg.infile),
         "defects": asdict(rep),
     }
-    if not np.isfinite(rep.residual_sup):
+    if rep.mu == 0 and np.isinf(rep.speed_defect):
         emit("verify", report, "hyploop: numerical failure: degenerate loop (numerically "
                                "constant or its speed collapses); defects are null")
+        return EXIT_NUMERICAL
+    if not np.isfinite(rep.residual_sup):
+        emit("verify", report, "hyploop: numerical failure: K is not finite on the loop; "
+                               "the residual and curvature defects are null")
         return EXIT_NUMERICAL
     emit("verify", report, rep.summary())
     return EXIT_OK

@@ -36,17 +36,6 @@ class QuadratureFailure(HyploopError):
     """Adaptive quadrature exceeded its refinement budget without meeting tolerance."""
 
 
-class NotOrthogonal(HyploopError):
-    """Right-hand side handed to the kernel-orthogonal solver has a kernel component.
-
-    ``projection`` holds the offending kernel coefficients.
-    """
-
-    def __init__(self, message, projection=None):
-        self.projection = projection
-        super().__init__(message)
-
-
 class NewtonDiverged(HyploopError):
     """Newton iteration stagnated, blew up, or left the admissible set."""
 

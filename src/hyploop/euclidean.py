@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._quad import disk_rule
-from .errors import NotOrthogonal
 from .fields import RegionBox, as_field, eval_field
 from .halfplane import Geometry, rot90
 from .loops import Loop, dot_mean, energy
@@ -73,12 +72,11 @@ def kernel_basis_euclid(k: float, n: int) -> np.ndarray:
     return np.stack((tangent, e1, e2))
 
 
-def solve_linearization_euclid(f: np.ndarray, k: float, orth_tol: float = 1e-9) -> np.ndarray:
+def solve_linearization_euclid(f: np.ndarray, k: float) -> np.ndarray:
     """Solve the circle linearization for the kernel-orthogonal field.
 
-    The right-hand side must be orthogonal to (u_ref', e1, e2); modes 0 and
-    the real part at mode 1 carry the kernel, every other multiplier
-    m**2 - m inverts directly.
+    Mode 0 and the imaginary part at mode 1 carry the kernel (u_ref', e1,
+    e2) and are dropped; every other multiplier m**2 - m inverts directly.
     """
     f = np.asarray(f, dtype=float)
     n = f.shape[0]
@@ -86,13 +84,6 @@ def solve_linearization_euclid(f: np.ndarray, k: float, orth_tol: float = 1e-9) 
     fc = np.fft.fft(f[:, 0] + 1j * f[:, 1]) / n
     idx0 = int(np.where(m == 0.0)[0][0])
     idx1 = int(np.where(m == 1.0)[0][0])
-    offending = max(abs(fc[idx0]), abs(fc[idx1].imag))
-    fnorm = np.sqrt(dot_mean(f, f))
-    if orth_tol is not None and offending > orth_tol * max(1.0, fnorm):
-        raise NotOrthogonal(
-            f"right-hand side has a kernel component of size {offending:.3e}",
-            projection=np.array([fc[idx0].real, fc[idx0].imag, fc[idx1].imag]),
-        )
     mult = m**2 - m
     mult[idx0] = np.inf
     mult[idx1] = np.inf
@@ -173,7 +164,7 @@ class EuclideanProblem(ProblemBase):
         mults = np.linalg.solve(self._gram, -np.array([dot_mean(rhs, t) for t in tang]))
         f = rhs + np.tensordot(mults, tang, axes=1)
         phi_tan = np.tensordot(np.linalg.solve(self._gram, np.asarray(cons, float)), tang, axes=1)
-        phi_perp = solve_linearization_euclid(f, self.k, orth_tol=None)
+        phi_perp = solve_linearization_euclid(f, self.k)
         tcoef = np.linalg.solve(self._gram, np.array([dot_mean(phi_perp, t) for t in tang]))
         phi_perp = phi_perp - np.tensordot(tcoef, tang, axes=1)
         return phi_tan + phi_perp, float(mults[0]), mults[1:]

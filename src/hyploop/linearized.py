@@ -22,9 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NotOrthogonal
 from .halfplane import HALFPLANE, as_point, rot90
-from .loops import Loop, curvature_radius, dot_mean, reference_loop, residual
+from .loops import Loop, curvature_radius, reference_loop
 
 ZERO_SV_RTOL = 1e-9  # sigma below this times the block's largest sigma counts as zero
 
@@ -41,7 +40,7 @@ class _Circle:
     projection on them.  ``weights[c]`` takes component c of f to
     ``to_frame(u2**2 f)``.  ``blocks`` and ``pinvs``: the block matrices of
     ``mode_blocks`` and their pseudo-inverses, as (mode 0, stack of modes
-    1..N/2).  ``kernel``: the analytic kernel basis; ``gram``: its Gram matrix.
+    1..N/2).
     """
 
     base: Loop
@@ -53,8 +52,6 @@ class _Circle:
     weights: np.ndarray
     blocks: tuple
     pinvs: tuple
-    kernel: np.ndarray
-    gram: np.ndarray
 
 
 @lru_cache(maxsize=16)
@@ -72,34 +69,32 @@ def _circle(k: float, n: int) -> _Circle:
     scale = (u2**2 / (rk * u2) ** 2)[:, None]
     weights = np.stack([np.column_stack((om_p[:, c], i_om_p[:, c])) * scale for c in (0, 1)])
     blocks = mode_blocks(k, n)
-    kernel = kernel_basis(k, n)
     circle = _Circle(
         base, om_p, i_om_p, tangent, ginv, ginv @ tang / n, weights,
         (blocks[0].matrix, np.stack([b.matrix for b in blocks[1:]])),
         (blocks[0].pinv, np.stack([b.pinv for b in blocks[1:]])),
-        kernel, np.array([[dot_mean(a, b) for b in kernel] for a in kernel]),
     )
     for arr in (om_p, i_om_p, tangent, ginv, circle.proj, weights, *circle.blocks,
-                *circle.pinvs, kernel):
+                *circle.pinvs):
         arr.flags.writeable = False
     return circle
 
 
-def from_frame(g: np.ndarray, k: float, n: int | None = None) -> np.ndarray:
+def from_frame(g: np.ndarray, k: float) -> np.ndarray:
     """Frame coordinates to ambient field: g -> g1 * u' + g2 * i u'."""
     g = np.asarray(g, dtype=float)
-    circle = _circle(k, n or g.shape[0])
+    circle = _circle(k, g.shape[0])
     return g[:, 0:1] * circle.om_p + g[:, 1:2] * circle.i_om_p
 
 
-def to_frame(phi: np.ndarray, k: float, n: int | None = None) -> np.ndarray:
+def to_frame(phi: np.ndarray, k: float) -> np.ndarray:
     """Ambient field to frame coordinates (inverse of ``from_frame``).
 
     Uses |u'|**2 = R_k**2 u2**2 pointwise, so the frame is orthogonal and the
     inversion is a pair of scaled projections.
     """
     phi = np.asarray(phi, dtype=float)
-    ref = _circle(k, n or phi.shape[0])
+    ref = _circle(k, phi.shape[0])
     scale = (curvature_radius(k) * ref.base.samples[:, 1:2]) ** 2
     return np.column_stack(((phi * ref.om_p).sum(axis=1), (phi * ref.i_om_p).sum(axis=1))) / scale
 
@@ -238,37 +233,12 @@ def mode_blocks(k: float, n: int) -> tuple[ModeBlock, ...]:
     return tuple(blocks)
 
 
-def _project_kernel(f: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """L2 projection of f onto the kernel; returns (coefficients, projection)."""
-    circle = _circle(k, f.shape[0])
-    rhs = np.array([dot_mean(f, b) for b in circle.kernel])
-    coeffs = np.linalg.solve(circle.gram, rhs)
-    return coeffs, np.tensordot(coeffs, circle.kernel, axes=1)
-
-
-def solve_frame_operator(f: np.ndarray, k: float, orth_tol: float = 1e-9) -> np.ndarray:
-    """Solve B g = f for the unique g orthogonal to the kernel.
-
-    ``f`` must be L2-orthogonal to the kernel within ``orth_tol`` (relative
-    to max(1, ||f||)); otherwise NotOrthogonal reports the offending kernel
-    coefficients.  The solve is a per-frequency pseudo-inverse, so the
-    result is the minimum-norm solution, which is exactly the
-    kernel-orthogonal one.
-    """
-    f = np.asarray(f, dtype=float)
-    coeffs, proj = _project_kernel(f, k)
-    fnorm = np.sqrt(dot_mean(f, f))
-    if np.sqrt(dot_mean(proj, proj)) > orth_tol * max(1.0, fnorm):
-        raise NotOrthogonal(
-            "right-hand side has a kernel component "
-            f"(coefficients on [e1, g, g'] = {coeffs})",
-            projection=coeffs,
-        )
-    return _solve_modes(f, k)
-
-
 def _solve_modes(f: np.ndarray, k: float) -> np.ndarray:
-    """Per-frequency pseudo-inverse solve of B g = f, without the kernel check."""
+    """Solve B g = f per frequency by the pseudo-inverse blocks.
+
+    The result is the minimum-norm solution, orthogonal to the kernel; a
+    kernel component of f is dropped (``frozen_solve`` removes it first).
+    """
     n = f.shape[0]
     return _per_mode(np.fft.rfft(f, axis=0), _circle(k, n).pinvs, n)
 
@@ -353,22 +323,8 @@ def apply_linearization(z, phi: np.ndarray, k: float) -> np.ndarray:
     """
     zp = as_point(z)
     phi = np.asarray(phi, dtype=float)
-    n = phi.shape[0]
-    g = to_frame(phi, k, n)
-    image = from_frame(apply_frame_operator(g, k), k, n)
-    return image / (zp.z2**2 * _circle(k, n).base.samples[:, 1] ** 2)[:, None]
-
-
-def linearization_fd(z, phi: np.ndarray, k: float, h: float = 1e-5) -> np.ndarray:
-    """Finite-difference oracle for ``apply_linearization``."""
-    from .halfplane import translate
-
-    zp = as_point(z)
-    n = np.asarray(phi).shape[0]
-    base = translate(zp, reference_loop(k, n))
-    plus = Loop(base.samples + h * phi)
-    minus = Loop(base.samples - h * phi)
-    return (residual(plus, k) - residual(minus, k)) / (2.0 * h)
+    image = from_frame(apply_frame_operator(to_frame(phi, k), k), k)
+    return image / (zp.z2**2 * _circle(k, phi.shape[0]).base.samples[:, 1] ** 2)[:, None]
 
 
 def frozen_solve(z, k: float, rhs: np.ndarray, cons: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
@@ -394,7 +350,7 @@ def frozen_solve(z, k: float, rhs: np.ndarray, cons: np.ndarray) -> tuple[np.nda
     f = rhs + (mults @ tang).reshape(n, 2)
     # orthogonal part via the frame operator
     g = _solve_modes(z2**2 * (f[:, 0:1] * weights[0] + f[:, 1:2] * weights[1]), k)
-    phi_perp = from_frame(g, k, n)
+    phi_perp = from_frame(g, k)
     # tangential part of phi from the constraints, less that of phi_perp
     coeffs = circle.ginv @ np.asarray(cons, dtype=float) - proj @ phi_perp.ravel()
     return phi_perp + (coeffs @ tang).reshape(n, 2), float(mults[0]), mults[1:]

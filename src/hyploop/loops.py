@@ -85,20 +85,6 @@ class Loop:
             self._derivs.update(zip(orders, out))
         return self._derivs[order]
 
-    def rotated(self, alpha: float) -> "Loop":
-        """Precompose with the parameter rotation x -> x * exp(i*alpha).
-
-        Index shift for multiples of the grid spacing; trigonometric
-        interpolation (a Fourier phase shift) otherwise.
-        """
-        step = 2.0 * np.pi / self.n
-        shift = alpha / step
-        if abs(shift - round(shift)) < 1e-13:
-            return Loop(np.roll(self.samples, -int(round(shift)) % self.n, axis=0))
-        freqs = np.fft.rfftfreq(self.n, d=1.0 / self.n)
-        phase = np.exp(1j * freqs * alpha)
-        return Loop(np.fft.irfft(self.coeffs * phase[:, None], n=self.n, axis=0))
-
     def refined(self, factor: int = 4) -> "Loop":
         """Spectrally upsample to factor*N points (zero padding)."""
         return Loop(np.fft.irfft(self.coeffs, n=self.n * factor, axis=0) * factor)

@@ -89,12 +89,6 @@ def melnikov_gradient_grid(z1, z2, k: float, field):
     return _boundary_gradient(z1, z2, field, lift=k * rk, r0=0.0, r1=rk, curved=True)
 
 
-def melnikov_gradient(z, k: float, field) -> np.ndarray:
-    zp = as_point(z)
-    g1, g2 = melnikov_gradient_grid([zp.z1], [zp.z2], k, field)
-    return np.array([g1[0], g2[0]])
-
-
 def _boundary_gradient(z1, z2, field, lift, r0, r1, curved):
     """grad F for the disks with center (z1, lift*z2) and radius r = r0 + r1*z2.
 
@@ -224,28 +218,29 @@ def _newton_refine(grad_fn, z0, lower_z2, bounds, tol):
 
     Asymptotically flat fields drive Newton far outside the box, where the
     gradient decays below tolerance without an actual zero; such escapes
-    are rejected rather than reported.
+    are rejected rather than reported.  Returns (z, converged, gradient at z).
     """
     (lo1, hi1), (lo2, hi2) = bounds
     z = np.asarray(z0, dtype=float).copy()
     for _ in range(NEWTON_MAXIT):
         g = grad_fn(z)
         if np.hypot(*g) < tol:
-            break
+            return z, True, g
         h = 1e-5 * max(1.0, float(np.hypot(*z)))
         jac = _fd_jacobian(grad_fn, z, h)
         try:
             step = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError:
-            return z, False
+            return z, False, g
         for _ in range(20):
             if z[1] + step[1] > lower_z2:
                 break
             step = 0.5 * step
         z = z + step
         if not (lo1 <= z[0] <= hi1 and lo2 <= z[1] <= hi2):
-            return z, False
-    return z, bool(np.hypot(*grad_fn(z)) < tol)
+            return z, False, None
+    g = grad_fn(z)
+    return z, bool(np.hypot(*g) < tol), g
 
 
 def _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value):
@@ -283,7 +278,7 @@ def _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value):
     points: list[MelnikovSample] = []
     for i, j in np.argwhere(neighborhood):
         z0 = np.array([g1[i, j], g2[i, j]])
-        z, ok = _newton_refine(grad_fn, z0, lower_z2, bounds, tol)
+        z, ok, grad = _newton_refine(grad_fn, z0, lower_z2, bounds, tol)
         if not ok:
             continue
         if any(np.hypot(*(z - np.asarray(p.z))) < 1e-6 for p in points):
@@ -291,7 +286,7 @@ def _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value):
         h = 1e-5 * max(1.0, float(np.hypot(*z)))
         hess = _fd_jacobian(grad_fn, z, h)
         value = float(value_grid_fn(np.array([z[0]]), np.array([z[1]]))[0])
-        points.append(MelnikovSample((float(z[0]), float(z[1])), value, grad_fn(z), hess,
+        points.append(MelnikovSample((float(z[0]), float(z[1])), value, grad, hess,
                                      _classify(hess)))
     return tuple(points), None if points else "no gradient zero found in the region"
 

@@ -48,6 +48,8 @@ REDUCE_TOL = 1e-11
 FULL_RESIDUAL_TOL = 1e-9
 FD_STEP = 1e-6  # relative step for Jacobian-vector products
 Z_STEP = 1e-5   # step for the outer finite-difference Jacobian in z
+GMRES_RTOL = 1e-6
+GMRES_MAXIT = 40
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +143,8 @@ def _unpack(x, n):
     return x[: 2 * n].reshape(n, 2), float(x[2 * n]), x[2 * n + 1 :].copy()
 
 
-def _gmres(apply_op, b, rtol: float = 1e-6, maxiter: int = 40):
-    """Full-memory GMRES with modified Gram-Schmidt.
+def _gmres(apply_op, b):
+    """Full-memory GMRES with modified Gram-Schmidt, to GMRES_RTOL in GMRES_MAXIT steps.
 
     Convergence is judged on the Arnoldi least-squares residual, which is
     the right notion when ``apply_op`` is a finite-difference Jacobian
@@ -153,13 +155,13 @@ def _gmres(apply_op, b, rtol: float = 1e-6, maxiter: int = 40):
     if norm_b == 0.0:
         return np.zeros_like(b), 0.0
     basis = [b / norm_b]
-    hess = np.zeros((maxiter + 1, maxiter))
-    g = np.zeros(maxiter + 1)
+    hess = np.zeros((GMRES_MAXIT + 1, GMRES_MAXIT))
+    g = np.zeros(GMRES_MAXIT + 1)
     g[0] = norm_b
     y = np.zeros(0)
     rel = 1.0
     cols = 0
-    for j in range(maxiter):
+    for j in range(GMRES_MAXIT):
         w = apply_op(basis[j])
         for i in range(j + 1):
             hess[i, j] = basis[i] @ w
@@ -168,7 +170,7 @@ def _gmres(apply_op, b, rtol: float = 1e-6, maxiter: int = 40):
         cols = j + 1
         y, *_ = np.linalg.lstsq(hess[: j + 2, : j + 1], g[: j + 2], rcond=None)
         rel = np.linalg.norm(g[: j + 2] - hess[: j + 2, : j + 1] @ y) / norm_b
-        if rel <= rtol or hess[j + 1, j] <= 1e-14 * norm_b:
+        if rel <= GMRES_RTOL or hess[j + 1, j] <= 1e-14 * norm_b:
             break
         basis.append(w / hess[j + 1, j])
     x = np.zeros_like(b)
@@ -233,7 +235,7 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
             return _pack(phi, a, p)
 
         rhs = -_pack(top, cons[0], cons[1:])
-        delta, rel = _gmres(lambda v: psolve(matvec(v)), psolve(rhs), rtol=1e-6)
+        delta, rel = _gmres(lambda v: psolve(matvec(v)), psolve(rhs))
         if not np.all(np.isfinite(delta)) or rel > 1e-2:
             raise NewtonDiverged(f"inner GMRES stalled at relative residual {rel:.3e}")
 

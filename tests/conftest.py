@@ -3,8 +3,8 @@ import pytest
 
 from hyploop._quad import adaptive_gauss_legendre, disk_rule
 from hyploop.fields import as_field, eval_field, grad_field
-from hyploop.halfplane import HALFPLANE, rot90
-from hyploop.loops import Loop, curvature_radius, dot_mean
+from hyploop.halfplane import HALFPLANE, rot90, translate
+from hyploop.loops import Loop, curvature_radius, dot_mean, reference_loop, residual
 
 TEST_FIELDS = [
     "1",
@@ -34,6 +34,27 @@ def band_limited_loop(rng, n=256, modes=6, amp=0.05, radius=0.5, center=(0.0, 2.
     u[:, 0] += center[0]
     u[:, 1] += center[1]
     return Loop(u)
+
+
+def rotated(u, alpha):
+    """u precomposed with the parameter rotation x -> x * exp(i*alpha).
+
+    Index shift for multiples of the grid spacing; trigonometric
+    interpolation (a Fourier phase shift) otherwise.
+    """
+    shift = alpha / (2.0 * np.pi / u.n)
+    if abs(shift - round(shift)) < 1e-13:
+        return Loop(np.roll(u.samples, -int(round(shift)) % u.n, axis=0))
+    phase = np.exp(1j * np.fft.rfftfreq(u.n, d=1.0 / u.n) * alpha)
+    return Loop(np.fft.irfft(u.coeffs * phase[:, None], n=u.n, axis=0))
+
+
+def linearization_fd(z, phi, k, h=1e-5):
+    """Oracle for ``apply_linearization``: the central difference of the residual."""
+    base = translate(z, reference_loop(k, phi.shape[0]))
+    plus = Loop(base.samples + h * phi)
+    minus = Loop(base.samples - h * phi)
+    return (residual(plus, k) - residual(minus, k)) / (2.0 * h)
 
 
 def band_limited_field(rng, n=256, modes=6, amp=1.0):

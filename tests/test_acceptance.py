@@ -25,7 +25,6 @@ from hyploop.linearized import (
     apply_linearization,
     from_frame,
     kernel_basis,
-    linearization_fd,
     mode_blocks,
 )
 from hyploop.loops import (
@@ -37,10 +36,10 @@ from hyploop.loops import (
     residual,
     signed_area,
 )
-from hyploop.melnikov import asymptotic_check, melnikov_gradient, melnikov_value
+from hyploop.melnikov import asymptotic_check, melnikov_gradient_grid, melnikov_value
 from hyploop.reduction import reduce_at, reduced_energy_offset, solve_full
 
-from conftest import band_limited_field, band_limited_loop
+from conftest import band_limited_field, band_limited_loop, linearization_fd
 
 QUAD_TEXT = "z1^2 + (z2-2)^2"
 QUADRATIC = parse_field(QUAD_TEXT)
@@ -150,7 +149,7 @@ def test_criterion_5_melnikov_correctness():
                    f"{abs(lhs - rhs):.3e}")
 
     z = np.array([0.2, 1.7])
-    g = melnikov_gradient(z, k, QUADRATIC)
+    g = np.ravel(melnikov_gradient_grid(z[:1], z[1:], k, QUADRATIC))
     h = 1e-5
     fd = np.array(
         [

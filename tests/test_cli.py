@@ -10,7 +10,7 @@ import pytest
 import hyploop
 from hyploop import cli, euclidean, fields, melnikov
 from hyploop.cli import main, to_json
-from hyploop.errors import DegenerateLoop, HyploopError, NotOrthogonal
+from hyploop.errors import DegenerateLoop, HyploopError
 from hyploop.fields import PlaneBox, RegionBox
 from hyploop.loops import Loop, reference_loop, save_loop
 
@@ -165,7 +165,7 @@ class TestKernelCommand:
         zero_modes = {row["n"]: row["zeros"] for row in report["per_mode"] if row["zeros"]}
         assert zero_modes == {"0": 1, "1": 2} or zero_modes == {0: 1, 1: 2}
 
-    @pytest.mark.parametrize("error", [DegenerateLoop, NotOrthogonal, HyploopError])
+    @pytest.mark.parametrize("error", [DegenerateLoop, HyploopError])
     def test_every_numerical_error_exits_4_with_the_prefix(self, capsys, monkeypatch, error):
         def failing(k, n):
             raise error("boom")
@@ -209,6 +209,19 @@ class TestSolveVerifyRoundTrip:
         assert defects["curvature_defect"] is None and defects["killing"] == [None] * 3
         assert not defects["embedded"]
         assert len(err.strip().splitlines()) == 1 and "degenerate" in err
+
+    def test_verify_non_finite_field_is_not_a_degenerate_loop(self, capsys, tmp_path):
+        # K is NaN on the loop; the loop itself is a regular, embedded circle
+        path = tmp_path / "loop.csv"
+        save_loop(path, reference_loop(2.0, 64), {"k": 2.0, "eps": 0.0})
+        code, out, err = run(capsys, "verify", "--in", str(path), "--k", "2", "--eps", "0.01",
+                             "--field", "z1^2 + exp(1000*z2) - exp(1000*z2)")
+        assert code == 4
+        defects = json.loads(out, parse_constant=reject_constant)["defects"]
+        assert defects["residual_sup"] is None and defects["curvature_defect"] is None
+        assert defects["speed_defect"] < 1e-12 and defects["mu"] == 1 and defects["embedded"]
+        assert err == ("hyploop: numerical failure: K is not finite on the loop; "
+                       "the residual and curvature defects are null\n")
 
     @pytest.fixture
     def loop_file(self, tmp_path):
@@ -491,6 +504,14 @@ class TestConfigHandling:
          "--k is too large: its square overflows, got 1e+200"),
         (("euclid", "solve", "--k", "1e200", "--field", "1", "--box", "-1,1,-1,1"), None,
          "--k is too large: its square overflows, got 1e+200"),
+        # a JSON true or false is not a number, and an integer past the float range is none
+        (("reduce",), {"eps": True, "k": 2, "field": "0.001*z1", "z": "0,2"},
+         "--eps must be comma-separated numbers, got True"),
+        (("melnikov", "--k", "2", "--field", "1"), {"box": [True, 1, 1, 3]},
+         "--box must be comma-separated numbers, got [True, 1, 1, 3]"),
+        pytest.param(("reduce", "--k", "2", "--field", "1", "--z", "0,2"), {"eps": 10**400},
+                     f"--eps must be comma-separated numbers, got {10**400}",
+                     id="eps-int-past-float-range"),
     ])
     def test_first_bad_setting_is_reported(self, capsys, tmp_path, monkeypatch, argv, config,
                                            message):

@@ -30,7 +30,13 @@ from hyploop.loops import (
 from hyploop.melnikov import melnikov_value
 from hyploop.reduction import solve_full
 
-from conftest import band_limited_field, band_limited_loop, count_ffts, split_gauge_area
+from conftest import (
+    band_limited_field,
+    band_limited_loop,
+    count_ffts,
+    rotated,
+    split_gauge_area,
+)
 
 QUADRATIC = parse_field("z1^2 + (z2-2)^2")
 
@@ -108,7 +114,7 @@ class TestLoopContainer:
 
     def test_rotation_on_grid_is_index_shift(self, rng):
         u = band_limited_loop(rng, n=64)
-        shifted = u.rotated(2 * np.pi * 5 / 64)
+        shifted = rotated(u, 2 * np.pi * 5 / 64)
         assert np.array_equal(shifted.samples, np.roll(u.samples, -5, axis=0))
 
     def test_rotation_off_grid_interpolates(self, rng):
@@ -116,7 +122,7 @@ class TestLoopContainer:
         theta = 2 * np.pi * np.arange(n) / n
         u = Loop(np.column_stack((np.cos(3 * theta), 2 + np.sin(theta))))
         alpha = 0.1234
-        out = u.rotated(alpha)
+        out = rotated(u, alpha)
         expect = np.column_stack((np.cos(3 * (theta + alpha)), 2 + np.sin(theta + alpha)))
         assert np.abs(out.samples - expect).max() < 1e-13
 
@@ -229,7 +235,7 @@ class TestEnergy:
         k = 2.0
         u = reference_loop(k, 128)
         base = energy(u, k).total
-        moved = translate((1.2, 0.7), u).rotated(0.7531)
+        moved = rotated(translate((1.2, 0.7), u), 0.7531)
         assert energy(Loop(moved.samples), k).total == pytest.approx(base, abs=1e-11)
 
     def test_perturbed_energy_of_translated_reference(self):
@@ -246,7 +252,7 @@ class TestEnergy:
 
     def test_rotation_leaves_functionals(self, rng):
         u = band_limited_loop(rng)
-        rot = u.rotated(1.2345)
+        rot = rotated(u, 1.2345)
         assert loop_length(rot) == pytest.approx(loop_length(u), abs=1e-11)
         assert signed_area(rot, QUADRATIC) == pytest.approx(
             signed_area(u, QUADRATIC), abs=1e-11
@@ -308,6 +314,30 @@ class TestResidual:
             errs.append(abs((plus - minus) / (2 * h) - target))
         assert errs[0] / max(errs[1], 1e-14) > 30  # observed order ~ h^2
         assert errs[1] < 1e-8
+
+
+class TestIsometryEquivariance:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.sampled_from((1.5, 2.0, 5.0)),
+        z1=st.floats(-3.0, 3.0),
+        z2=st.floats(0.3, 3.0),
+        alpha=st.floats(0.0, 2.0 * np.pi),
+    )
+    def test_residual_and_energy_under_isometries(self, seed, k, z1, z2, alpha):
+        # at eps = 0 the translation z scales the residual by 1/z2 and keeps the
+        # length and the energy; a parameter rotation keeps them as well
+        n = 128
+        u = band_limited_loop(np.random.default_rng(seed), n=n)
+        turned = rotated(u, alpha)
+        moved = translate((z1, z2), turned)
+        gap = np.abs(residual(moved, k) - residual(turned, k) / z2).max()
+        # the rounding of spectral second derivatives of the moved samples
+        floor = np.finfo(float).eps * n**2 * np.abs(moved.samples).max() / z2**2
+        assert gap <= floor
+        assert loop_length(moved) == pytest.approx(loop_length(u), rel=1e-13)
+        assert energy(moved, k).total == pytest.approx(energy(u, k).total, rel=1e-13)
 
 
 class TestVerify:
