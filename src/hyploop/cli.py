@@ -1,7 +1,8 @@
 """Command-line front end: config parsing, dispatch, machine-readable reports.
 
 Exit codes: 0 success; 2 a nonexistence condition fired or no critical
-point was found; 3 configuration or parse error; 4 numerical failure.
+point was found; 3 configuration or parse error, or an output that cannot be
+written; 4 numerical failure, or an array too large to allocate.
 All floating-point output is printed with 17 significant digits, so
 identical configurations produce bit-identical CSV/JSON.
 """
@@ -22,7 +23,7 @@ from . import euclidean, melnikov
 from .errors import FieldSyntaxError, HyploopError, NoCritical
 from .fields import BinOp, Const, PlaneBox, RegionBox, check_nonexistence, eval_field, parse_field
 from .linearized import kernel_report
-from .loops import fmt, load_loop, save_loop, verify_solution
+from .loops import curvature_radius, fmt, load_loop, save_loop, verify_solution
 from .reduction import continue_eps, reduce_at, solve_full
 
 SCHEMA = "hyploop/1"
@@ -161,12 +162,14 @@ def _center(value, key, flag, euclid):
 
 def _curvature(value, key, flag, euclid) -> float:
     k = _parse_floats(value, 1, flag)[0]
-    if euclid:
-        if not k > 0:
-            raise ConfigError(f"euclid commands need k > 0, got {k}")
-    elif not k > 1:
-        raise ConfigError(f"half-plane commands need k > 1, got {k}")
-    if not np.isfinite(k * k):
+    if not euclid:
+        try:
+            curvature_radius(k)  # the half-plane bounds on k, stated once
+        except ValueError as exc:
+            raise ConfigError(f"{flag}: {exc}")
+    elif not k > 0:
+        raise ConfigError(f"euclid commands need k > 0, got {k}")
+    elif not np.isfinite(k * k):
         raise ConfigError(f"{flag} is too large: its square overflows, got {k}")
     return k
 
@@ -512,6 +515,12 @@ def main(argv=None) -> int:
         return EXIT_BLOCKED
     except HyploopError as exc:
         print(f"hyploop: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OSError as exc:  # reading an input raises ConfigError: this is an output
+        print(f"hyploop: config error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"hyploop: numerical failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -424,16 +424,44 @@ class _Parser:
         raise FieldSyntaxError(f"unexpected token {value!r}", off, "a number, name, or '('")
 
 
+# Deepest tree parse_field accepts.  Parsing, evaluation, text() and the gradient
+# recurse once to five times per level, and a derivative tree can be three times
+# as deep as its field (a chain of divisions or of powers).  At this depth all of
+# them, and the text of the gradient that a domain error prints, were measured
+# to work on every such chain with 300 frames already on the stack.
+MAX_DEPTH = 100
+
+
+def _depth(node: FieldExpr) -> int:
+    """Levels of the tree under ``node``, counted without recursion."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        children = ((node.left, node.right) if isinstance(node, BinOp)
+                    else (node.arg,) if isinstance(node, (Neg, Fn)) else ())
+        stack += [(child, level + 1) for child in children]
+    return deepest
+
+
 def parse_field(text: str) -> FieldExpr:
     """Parse curvature-field text into a FieldExpr.
 
     Grammar: ``+ -`` < ``* /`` < unary minus < right-associative ``^``,
     whitespace-insensitive, implicit multiplication rejected.  Raises
-    FieldSyntaxError with the byte offset on malformed input.
+    FieldSyntaxError with the byte offset on malformed input, and on text
+    nested deeper than the parser's recursion or than MAX_DEPTH levels.
     """
     if not text or not text.strip():
         raise FieldSyntaxError("empty field text", 0, "an expression")
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        node = parser.parse()
+    except RecursionError:
+        raise FieldSyntaxError("field text nests too deeply to parse", parser.peek()[2])
+    if _depth(node) > MAX_DEPTH:
+        raise FieldSyntaxError(f"field nests deeper than {MAX_DEPTH} levels", 0)
+    return node
 
 
 def as_field(field) -> FieldExpr:

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .halfplane import HALFPLANE, as_point, rot90
-from .loops import Loop, curvature_radius, reference_loop
+from .loops import Loop, curvature_radius, energy, reference_loop
 
 ZERO_SV_RTOL = 1e-9  # sigma below this times the block's largest sigma counts as zero
 
@@ -40,7 +40,8 @@ class _Circle:
     projection on them.  ``weights[c]`` takes component c of f to
     ``to_frame(u2**2 f)``.  ``blocks`` and ``pinvs``: the block matrices of
     ``mode_blocks`` and their pseudo-inverses, as (mode 0, stack of modes
-    1..N/2).
+    1..N/2).  ``mean_sq``: the mean of |u|**2; ``energy``: the unperturbed
+    energy of the circle, the baseline of the reduced function.
     """
 
     base: Loop
@@ -52,6 +53,8 @@ class _Circle:
     weights: np.ndarray
     blocks: tuple
     pinvs: tuple
+    mean_sq: float
+    energy: float
 
 
 @lru_cache(maxsize=16)
@@ -73,6 +76,7 @@ def _circle(k: float, n: int) -> _Circle:
         base, om_p, i_om_p, tangent, ginv, ginv @ tang / n, weights,
         (blocks[0].matrix, np.stack([b.matrix for b in blocks[1:]])),
         (blocks[0].pinv, np.stack([b.pinv for b in blocks[1:]])),
+        float((base.samples**2).sum(axis=1).mean()), energy(base, k).total,
     )
     for arr in (om_p, i_om_p, tangent, ginv, circle.proj, weights, *circle.blocks,
                 *circle.pinvs):
@@ -112,11 +116,6 @@ def kernel_basis(k: float, n: int) -> np.ndarray:
     g = np.column_stack((k * np.cos(theta), -np.sin(theta) / rk))
     gp = np.column_stack((-k * np.sin(theta), -np.cos(theta) / rk))
     return np.stack((e1, g, gp))
-
-
-def tangent_fields(k: float, n: int) -> np.ndarray:
-    """Fields spanning the solution manifold's tangent space: (u', e1, u), read-only."""
-    return _circle(k, n).tangent
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +195,9 @@ def _make_block(n_mode: int, matrix: np.ndarray) -> ModeBlock:
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     pinv = (vt.T * inv) @ u.T
-    null = vt[~keep]
-    for arr in (matrix, s, pinv, null):
-        arr.flags.writeable = False
-    return ModeBlock(n_mode, matrix, s, pinv, null)
+    return ModeBlock(n_mode, matrix, s, pinv, vt[~keep])
 
 
-@lru_cache(maxsize=16)
 def mode_blocks(k: float, n: int) -> tuple[ModeBlock, ...]:
     """All frequency blocks for an N-sample discretization (modes 0..N/2).
 
@@ -223,13 +218,8 @@ def mode_blocks(k: float, n: int) -> tuple[ModeBlock, ...]:
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / s[keep]
     pinv = (vt.transpose(0, 2, 1) * inv[:, None, :]) @ u.transpose(0, 2, 1)
-    for arr in (mats, s, pinv):
-        arr.flags.writeable = False
     blocks = [_make_block(0, np.array([[0.0, 0.0], [0.0, rk**2 * (1.0 - k**2)]]))]
-    for i in range(m.size):
-        null = vt[i][~keep[i]]
-        null.flags.writeable = False
-        blocks.append(ModeBlock(i + 1, mats[i], s[i], pinv[i], null))
+    blocks += [ModeBlock(i + 1, mats[i], s[i], pinv[i], vt[i][~keep[i]]) for i in range(m.size)]
     return tuple(blocks)
 
 

@@ -129,10 +129,19 @@ def dot_mean(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Smallest k - 1.  The frequency-m block of the linearization has singular-value
+# ratio ~ m^2 (m^2 - 1) (k^2 - 1)^2, so nearer 1 its nonzero singular values fall
+# below ZERO_SV_RTOL and the kernel is misjudged (dimension 9 at k = 1 + 1e-6).
+K_MIN_GAP = 1e-5
+
+
 def curvature_radius(k: float) -> float:
-    """Euclidean radius R_k = 1/sqrt(k^2 - 1) of the unit-height k-circle."""
-    if not k > 1.0:
-        raise ValueError(f"hyperbolic constant curvature needs k > 1, got {k}")
+    """Euclidean radius R_k = 1/sqrt(k^2 - 1) of the unit-height k-circle.
+
+    Every half-plane path checks k here: k - 1 >= K_MIN_GAP and k**2 finite.
+    """
+    if not k - 1.0 >= K_MIN_GAP:
+        raise ValueError(f"hyperbolic constant curvature needs k >= 1 + {K_MIN_GAP:g}, got {k}")
     if not np.isfinite(float(k) * float(k)):
         raise ValueError(f"curvature k = {k} is too large: k**2 overflows")
     return 1.0 / np.sqrt(k * k - 1.0)

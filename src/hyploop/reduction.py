@@ -22,14 +22,13 @@ so the Euclidean variant runs through the same code with its flat record.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field, replace
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import HyploopError, NewtonDiverged, NotEmbedded, StepTooLarge
 from .fields import as_field
 from .halfplane import HALFPLANE, as_point, translate
-from .linearized import frozen_solve, tangent_fields
+from .linearized import _circle, frozen_solve
 from .loops import (
     Loop,
     VerifyReport,
@@ -38,7 +37,6 @@ from .loops import (
     dot_mean,
     energy,
     loop_length,
-    reference_loop,
     residual,
     verify_solution,
 )
@@ -55,15 +53,6 @@ GMRES_MAXIT = 40
 # ---------------------------------------------------------------------------
 # Problem adapters
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=16)
-def _reference_data(k: float, n: int):
-    """Reference loop, read-only tangent fields, mean |u|^2 and reference energy."""
-    reference = reference_loop(k, n)
-    tangent = tangent_fields(k, n)
-    mean_sq = float((reference.samples**2).sum(axis=1).mean())
-    return reference, tangent, mean_sq, energy(reference, k).total
 
 
 class ProblemBase:
@@ -104,7 +93,11 @@ class HyperbolicProblem(ProblemBase):
     """Half-plane callbacks consumed by the generic reduction driver."""
 
     geometry = HALFPLANE
-    reference_data = staticmethod(_reference_data)
+
+    @staticmethod
+    def reference_data(k: float, n: int):
+        circle = _circle(k, n)
+        return circle.base, circle.tangent, circle.mean_sq, circle.energy
 
     def base_loop(self, z) -> Loop:
         return translate(as_point(z), self.reference)
@@ -129,6 +122,7 @@ class ReductionState:
     t: float                 # rotation multiplier; vanishes at solutions
     theta: np.ndarray        # translation multipliers, (2,)
     residual_sup: float
+    full_residual_sup: float  # sup |J_eps| at ``loop``, without the multiplier terms
     constraint_res: np.ndarray
     loop: Loop
     length: float
@@ -268,6 +262,7 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
         t=float(t),
         theta=theta,
         residual_sup=float(supF),
+        full_residual_sup=float(np.abs(res).max()),
         constraint_res=cons,
         loop=u,
         length=problem.length(u),
@@ -345,10 +340,6 @@ class SolveReport:
     melnikov_seed: tuple[float, float] | None = None
 
 
-def _full_residual_sup(problem, state: ReductionState, eps: float) -> float:
-    return float(np.abs(problem.residual(state.loop, eps)).max())
-
-
 def solve_generic(problem, eps: float, region, grid: int = 16,
                   seed=None, warm: ReductionState | None = None) -> SolveReport:
     """Locate the critical center, in at most 30 Newton steps, and return the solved loop there.
@@ -365,7 +356,7 @@ def solve_generic(problem, eps: float, region, grid: int = 16,
     seed_tuple = (float(z[0]), float(z[1]))
     state = reduce_generic(problem, eps, z, warm=warm)
     for _ in range(30):
-        if _full_residual_sup(problem, state, eps) < FULL_RESIDUAL_TOL:
+        if state.full_residual_sup < FULL_RESIDUAL_TOL:
             break
         g = reduced_gradient_from_state(problem, state)
         cols = []
@@ -387,7 +378,7 @@ def solve_generic(problem, eps: float, region, grid: int = 16,
     else:
         raise NewtonDiverged(
             f"center Newton did not reach residual {FULL_RESIDUAL_TOL} "
-            f"(currently {_full_residual_sup(problem, state, eps):.3e})"
+            f"(currently {state.full_residual_sup:.3e})"
         )
     return _finalize(problem, state, eps, z, seed_tuple)
 

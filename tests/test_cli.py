@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -480,9 +482,9 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv,config,message", [
         # several bad settings: the first in reading order is reported
         (("melnikov", "--k", "0.5", "--field", "1", "--box", "-1,1,3"), None,
-         "half-plane commands need k > 1, got 0.5"),
+         "--k: hyperbolic constant curvature needs k >= 1 + 1e-05, got 0.5"),
         (("melnikov", "--k", "0.5", "--field", "1", "--box", "-1,1,-1,3"), None,
-         "half-plane commands need k > 1, got 0.5"),
+         "--k: hyperbolic constant curvature needs k >= 1 + 1e-05, got 0.5"),
         (("euclid", "melnikov", "--k", "0", "--field", "1", "--box", "1,-1,1,3"), None,
          "euclid commands need k > 0, got 0.0"),
         (("solve", "--k", "2", "--field", "1", "--box", "1,-1,1,3", "--n-samples", "100"), None,
@@ -499,9 +501,10 @@ class TestConfigHandling:
         (("reduce", "--k", "2", "--field", "1", "--z", "0,0"), None, "--z needs z2 > 0, got 0.0"),
         (("reduce", "--k", "2", "--field", "1", "--z", "0,-1"), None,
          "--z needs z2 > 0, got -1.0"),
-        (("kernel", "--k", "1e200"), None, "--k is too large: its square overflows, got 1e+200"),
+        (("kernel", "--k", "1e200"), None,
+         "--k: curvature k = 1e+200 is too large: k**2 overflows"),
         (("reduce", "--k", "1e200", "--field", "1", "--z", "0,2"), None,
-         "--k is too large: its square overflows, got 1e+200"),
+         "--k: curvature k = 1e+200 is too large: k**2 overflows"),
         (("euclid", "solve", "--k", "1e200", "--field", "1", "--box", "-1,1,-1,1"), None,
          "--k is too large: its square overflows, got 1e+200"),
         # a JSON true or false is not a number, and an integer past the float range is none
@@ -512,6 +515,9 @@ class TestConfigHandling:
         pytest.param(("reduce", "--k", "2", "--field", "1", "--z", "0,2"), {"eps": 10**400},
                      f"--eps must be comma-separated numbers, got {10**400}",
                      id="eps-int-past-float-range"),
+        # a k so near 1 that the kernel of the linearization is misjudged
+        (("kernel", "--k", "1.000001"), None,
+         "--k: hyperbolic constant curvature needs k >= 1 + 1e-05, got 1.000001"),
     ])
     def test_first_bad_setting_is_reported(self, capsys, tmp_path, monkeypatch, argv, config,
                                            message):
@@ -581,6 +587,49 @@ class TestConfigHandling:
         assert info.value.code == 3
 
 
+class TestResourceErrors:
+    @pytest.mark.parametrize("command", [
+        ("melnikov", "--grid", "4"),
+        ("solve", "--eps", "0.01", "--grid", "4", "--n-samples", "64"),
+        ("continue", "--eps-list", "0.001", "--grid", "4", "--n-samples", "64"),
+    ])
+    def test_missing_output_directory_exits_3(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, *command, "--k", "2", "--field", QUADRATIC,
+                             "--box", "-0.6,0.6,1.2,2.8",
+                             "--out", str(tmp_path / "missing" / "x"))
+        assert code == 3 and out == ""
+        assert err.startswith("hyploop: config error: cannot write output: [Errno 2] ")
+        assert err.count("\n") == 1
+
+    def test_too_deep_field_exits_3(self, capsys):
+        code, out, err = run(capsys, "reduce", "--k", "2", "--eps", "0.01", "--z", "0,2",
+                             "--field", "+".join(["z1"] * (fields.MAX_DEPTH + 1)))
+        assert code == 3 and out == ""
+        assert err == ("hyploop: config error: bad field text: "
+                       f"field nests deeper than {fields.MAX_DEPTH} levels at offset 0\n")
+
+    def test_impossible_allocation_exits_4(self, capsys, monkeypatch):
+        def too_large(self, n):
+            raise MemoryError(f"Unable to allocate a {n} x {n} grid")
+
+        monkeypatch.setattr(RegionBox, "grid", too_large)
+        code, out, err = run(capsys, "melnikov", "--k", "2", "--field", QUADRATIC,
+                             "--box", "-0.6,0.6,1.2,2.8", "--grid", "200000")
+        assert code == 4 and out == ""
+        assert err == ("hyploop: numerical failure: out of memory: "
+                       "Unable to allocate a 200000 x 200000 grid\n")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[list[str]]:
+    """The arguments of every ``hyploop`` line in the README's bash blocks, continuations joined."""
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.lstrip().startswith("hyploop ")]
+
+
 def run_process(*argv, cwd):
     """``python -m hyploop.cli`` in a fresh interpreter, with warnings shown as usual."""
     env = dict(os.environ, PYTHONPATH=str(Path(hyploop.__file__).parents[1]))
@@ -601,6 +650,14 @@ class TestProcess:
         assert proc.returncode == 4 and proc.stdout == ""
         assert proc.stderr.startswith("hyploop: numerical failure: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_readme_examples_run(self, tmp_path):
+        commands = readme_commands()
+        assert len(commands) >= 7
+        for argv in commands:  # in order, in one directory: verify reads what solve wrote
+            proc = run_process("-m", "hyploop.cli", *argv, cwd=tmp_path)
+            assert proc.returncode == 0, (argv, proc.stderr)
+            assert proc.stderr.count("\n") == 1, (argv, proc.stderr)
 
     def test_cli_import_leaves_scipy_out(self, tmp_path):
         proc = run_process("-c", "import sys, hyploop.cli; print('scipy' in sys.modules)",

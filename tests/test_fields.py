@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hyploop.errors import EvalDomainError, FieldSyntaxError
 from hyploop.fields import (
     FUNCTIONS,
+    MAX_DEPTH,
     VARIABLES,
     BinOp,
     Const,
@@ -93,6 +94,25 @@ class TestParsing:
     def test_empty_rejected(self):
         with pytest.raises(FieldSyntaxError):
             parse_field("   ")
+
+    @pytest.mark.parametrize("text", [
+        "/".join(["z2"] * MAX_DEPTH),                            # its gradient is 3x deeper
+        "sin(" * (MAX_DEPTH - 1) + "z1" + ")" * (MAX_DEPTH - 1),
+    ], ids=["division-chain", "nested-sin"])
+    def test_deepest_field_evaluates_prints_and_differentiates(self, text):
+        expr = parse_field(text)
+        assert np.isfinite(eval_field(expr, 0.3, 1.5))
+        assert parse_field(expr.text()) == expr
+        assert all(np.isfinite(eval_grad(expr, 0.3, 1.5)))
+
+    @pytest.mark.parametrize("text,offset", [
+        ("/".join(["z2"] * (MAX_DEPTH + 1)), 0),
+        ("(" * 1000 + "z1" + ")" * 1000, None),  # deeper than the parser's recursion
+    ], ids=["division-chain", "nested-parentheses"])
+    def test_deeper_field_rejected(self, text, offset):
+        with pytest.raises(FieldSyntaxError, match="nests") as info:
+            parse_field(text)
+        assert offset is None or info.value.offset == offset
 
 
 class TestEvaluation:
@@ -247,11 +267,11 @@ class TestCompiledKernels:
         np.testing.assert_allclose(g2, k2(z1, z2), rtol=1e-14, atol=0)
 
     def test_deep_tree(self):
-        # a left-leaning sum 500 levels deep compiles, evaluates and differentiates
-        expr = parse_field(" + ".join(["z1 * z2"] * 500))
-        assert eval_field(expr, 1.0, 2.0) == 1000.0
+        # a left-leaning sum as deep as parse_field admits compiles, evaluates and differentiates
+        expr = parse_field(" + ".join(["z1 * z2"] * (MAX_DEPTH - 1)))
+        assert eval_field(expr, 1.0, 2.0) == 2.0 * (MAX_DEPTH - 1)
         g1, g2 = eval_grad(expr, 1.0, 2.0)
-        assert g1 == 1000.0 and g2 == 500.0
+        assert g1 == 2.0 * (MAX_DEPTH - 1) and g2 == MAX_DEPTH - 1
 
     def test_gradient_is_built_once_per_expression(self):
         expr = parse_field("exp(-z1^2)*sin(z2) + tanh(z1*z2)")

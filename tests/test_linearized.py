@@ -13,10 +13,9 @@ from hyploop.linearized import (
     kernel_basis,
     kernel_report,
     mode_blocks,
-    tangent_fields,
     to_frame,
 )
-from hyploop.loops import curvature_radius, dot_mean, reference_loop
+from hyploop.loops import curvature_radius, dot_mean, energy, reference_loop
 
 from conftest import band_limited_field, count_ffts, linearization_fd
 
@@ -39,11 +38,20 @@ def deproject(field, k):
     return field - np.tensordot(kernel_coefficients(field, k), kernel_basis(k, N), axes=1)
 
 
+class TestCircle:
+    @pytest.mark.parametrize("k", [1.01, 2.0, 8.0])
+    def test_reference_energy_and_mean_square(self, k):
+        base = reference_loop(k, N)
+        circle = _circle(k, N)
+        assert circle.energy == energy(base, k).total
+        assert circle.mean_sq == float((base.samples**2).sum(axis=1).mean())
+
+
 class TestFrameIsomorphism:
     def test_images_of_kernel_basis(self):
         k = 2.0
         base = reference_loop(k, N)
-        om_p = tangent_fields(k, N)[0]
+        om_p = _circle(k, N).tangent[0]
         e1, g, gp = kernel_basis(k, N)
         assert np.array_equal(from_frame(e1, k), om_p)  # frame image IS the tangent
         assert np.abs(om_p - base.deriv(1)).max() < 1e-12  # and matches the spectral one
@@ -134,16 +142,16 @@ class TestModeBlocks:
             assert np.array_equal(block.sigmas, ref.sigmas)
             assert np.array_equal(block.null, ref.null)
             assert np.abs(block.pinv - ref.pinv).max() <= 1e-15 * np.abs(ref.pinv).max()
-            for arr in (block.matrix, block.sigmas, block.pinv, block.null):
-                assert not arr.flags.writeable
 
     def test_blocks_symmetric(self):
         for b in mode_blocks(2.0, 64):
             assert np.abs(b.matrix - b.matrix.T).max() == 0.0
 
-    @pytest.mark.parametrize("k", K_VALUES + (1.01,))
-    def test_kernel_report(self, k):
-        rep = kernel_report(k, N)
+    @pytest.mark.parametrize("k,n", [pytest.param(k, N, id=str(k)) for k in K_VALUES + (1.01,)]
+                             + [(1.0 + 1e-5, n) for n in (64, 256, 1024)])
+    def test_kernel_report(self, k, n):
+        # k = 1 + 1e-5 is the smallest k that curvature_radius admits
+        rep = kernel_report(k, n)
         assert rep.dimension == 3
         assert rep.max_principal_angle < 1e-8
         assert rep.sigma_min_nonzero > 0.0
@@ -180,7 +188,7 @@ class TestLinearization:
         # tangent fields of the solution manifold are annihilated
         k = 2.0
         for z in ((0.0, 1.0), (3.0, 0.5)):
-            for phi in tangent_fields(k, N):
+            for phi in _circle(k, N).tangent:
                 assert np.abs(apply_linearization(z, phi, k)).max() < 1e-11
 
     @pytest.mark.parametrize("z", [(0.0, 1.0), (3.0, 0.5), (-2.0, 4.0)])
@@ -207,7 +215,7 @@ class TestFrozenSolve:
         rhs = band_limited_field(rng, n=N, modes=6)
         cons = rng.normal(size=3)
         phi, a, p = frozen_solve(z, k, rhs, cons)
-        tang = tangent_fields(k, N)
+        tang = _circle(k, N).tangent
         lhs1 = apply_linearization(z, phi, k) - a * tang[0] - p[0] * tang[1] - p[1] * tang[2]
         assert np.abs(lhs1 - rhs).max() < 1e-8
         lhs2 = np.array([dot_mean(phi, t) for t in tang])
@@ -246,7 +254,7 @@ def frozen_solve_oracle(z, k, rhs, cons):
     zp = as_point(z)
     n = rhs.shape[0]
     base = _circle(k, n).base
-    tang = tangent_fields(k, n)
+    tang = _circle(k, n).tangent
     gram = np.array([[dot_mean(a, b) for b in tang] for a in tang])
     mults = np.linalg.solve(gram, -np.array([dot_mean(rhs, t) for t in tang]))
     f = rhs + np.tensordot(mults, tang, axes=1)

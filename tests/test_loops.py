@@ -12,6 +12,7 @@ from hyploop.fields import RegionBox, eval_field, parse_field
 from hyploop.euclidean import FLAT
 from hyploop.halfplane import HALFPLANE, christoffel, geodesic_curvature, rot90, translate
 from hyploop.loops import (
+    K_MIN_GAP,
     Loop,
     area_const,
     curvature_radius,
@@ -158,6 +159,12 @@ class TestLength:
         # 1/sqrt(k**2 - 1) would be 0: a circle of radius 0, not an error
         with pytest.raises(ValueError, match="too large"):
             curvature_radius(k)
+
+    @pytest.mark.parametrize("k", [1.0 + 1e-6, 1.0, 0.5, np.nan])
+    def test_curvature_too_near_one_rejected(self, k):
+        with pytest.raises(ValueError, match="needs k >= 1"):
+            curvature_radius(k)
+        assert curvature_radius(1.0 + K_MIN_GAP) > 0.0
 
 
 class TestSignedArea:

@@ -5,7 +5,7 @@ from hyploop import reduction
 from hyploop.errors import NewtonDiverged
 from hyploop.fields import RegionBox, parse_field
 from hyploop.halfplane import translate
-from hyploop.linearized import tangent_fields
+from hyploop.linearized import _circle
 from hyploop.loops import (
     dot_mean,
     energy,
@@ -49,7 +49,7 @@ class TestReduceAt:
         assert np.abs(state.constraint_res).max() < 1e-11
         # equivalent normalization of the solved loop against the reference
         base = reference_loop(K, 256)
-        tang = tangent_fields(K, 256)
+        tang = _circle(K, 256).tangent
         u = state.loop
         assert abs(dot_mean(u.samples, tang[0])) < 1e-11
         assert u.samples[:, 0].mean() == pytest.approx(0.2, abs=1e-11)
@@ -59,7 +59,7 @@ class TestReduceAt:
     def test_multiplier_representation_of_residual(self):
         # at convergence the residual is exactly the two translation multipliers
         state = reduce_at(1e-2, (0.1, 1.9), K, QUADRATIC)
-        tang = tangent_fields(K, 256)
+        tang = _circle(K, 256).tangent
         rep = state.theta[0] * tang[1] + state.theta[1] * tang[2]
         j = residual(state.loop, K, state.eps, QUADRATIC)
         assert np.abs(j - rep).max() < 1e-10
@@ -198,6 +198,20 @@ class TestSolveFull:
             dists.append(float(np.abs(rep.loop.samples - base.samples).max()))
         for big, small in zip(dists, dists[1:]):
             assert big / small == pytest.approx(2.0, abs=0.3)
+
+    def test_no_loop_is_evaluated_twice(self, monkeypatch):
+        # the README case: the center iteration reads the full residual that
+        # the correction solve evaluated at its last iterate
+        seen = []
+
+        def recording(u, *args, **kwargs):
+            seen.append(u.samples.tobytes())
+            return residual(u, *args, **kwargs)
+
+        monkeypatch.setattr(reduction, "residual", recording)
+        report = solve_full(0.01, K, QUADRATIC, BOX, grid=12)
+        assert len(seen) > 1 and len(set(seen)) == len(seen)
+        assert report.state.full_residual_sup < reduction.FULL_RESIDUAL_TOL
 
     def test_center_shift_is_first_order(self):
         rep = solve_full(0.01, K, QUADRATIC, BOX, grid=12)
