@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -241,6 +243,15 @@ def _build_config(args, euclid: bool = False) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
+def _output(path: str) -> str:
+    """``path``, once its directory is known to exist: a missing one fails before computing."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+    return path
+
+
 def _point_dict(p) -> dict:
     return {
         "z1": p.z[0],
@@ -256,9 +267,9 @@ def _cmd_melnikov(cfg: RunConfig, euclid: bool = False) -> int:
     if cfg.box is None:
         raise ConfigError("--box is required for melnikov")
     expr = cfg.parsed_field()
+    out = _output(cfg.out or "melnikov.csv")
     find = euclidean.find_critical_euclid if euclid else melnikov.find_critical
     search = find(cfg.k, expr, cfg.box, cfg.grid)
-    out = cfg.out or "melnikov.csv"
     with Path(out).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["z1", "z2", "F", "dF1", "dF2"])
@@ -374,6 +385,7 @@ def _cmd_solve(cfg: RunConfig, euclid: bool = False) -> int:
     if cfg.box is None:
         raise ConfigError("--box is required for solve")
     expr = cfg.parsed_field()
+    out = _output(cfg.out or "loop.csv")
     command = "euclid solve" if euclid else "solve"
     evidence = None if euclid else _blocked_evidence(cfg, expr)
     if evidence is not None:
@@ -393,7 +405,6 @@ def _cmd_solve(cfg: RunConfig, euclid: bool = False) -> int:
     except NoCritical as exc:
         emit(command, {"note": str(exc)}, f"no critical point: {exc}")
         return EXIT_BLOCKED
-    out = cfg.out or "loop.csv"
     _save_loop(out, cfg, result)
     report = {
         "k": cfg.k,
@@ -425,8 +436,9 @@ def _cmd_continue(cfg: RunConfig) -> int:
     if cfg.box is None or not cfg.eps_list:
         raise ConfigError("--box and --eps-list are required for continue")
     expr = cfg.parsed_field()
-    result = continue_eps(cfg.k, expr, cfg.box, cfg.eps_list, cfg.grid, cfg.n_samples)
     out_prefix = cfg.out or "continued"
+    _output(f"{out_prefix}_0.csv")
+    result = continue_eps(cfg.k, expr, cfg.box, cfg.eps_list, cfg.grid, cfg.n_samples)
     solved = []
     for i, rep in enumerate(result.reports):
         path = f"{out_prefix}_{i}.csv"

@@ -8,10 +8,13 @@ tangent space of the unperturbed solution manifold plus multipliers
     <eta, T0> = <eta, T1> = <eta, T2> = 0
 
 with T = (u', e1, u) the tangent fields of the reference loop.  The
-nonlinear system is solved by Newton with GMRES linear solves:
-Jacobian-vector products come from finite differences of the residual,
-preconditioned by the exact inverse of the frozen bordered linearization
-(the operator whose invertibility drives the reduction).  At a solution,
+nonlinear system is solved by inexact Newton with GMRES linear solves.
+Jacobian-vector products are the closed-form ``residual_jvp``, in which
+only the field term is a directional difference of K alone; no residual is
+evaluated per product.  GMRES is preconditioned by the exact inverse of the
+frozen bordered linearization (the operator whose invertibility drives the
+reduction) and solves each Newton system only as tightly as the outer
+residual needs: to max(GMRES_RTOL, min(1e-2, sup|F|)).  At a solution,
 t vanishes and theta encodes the gradient of the reduced energy in z, so
 critical centers are found by a small outer Newton iteration on theta.
 
@@ -34,17 +37,16 @@ from .loops import (
     VerifyReport,
     c0_distance,
     c2_distance,
-    dot_mean,
     energy,
     loop_length,
     residual,
+    residual_jvp,
     verify_solution,
 )
 from .melnikov import critical_point
 
 REDUCE_TOL = 1e-11
 FULL_RESIDUAL_TOL = 1e-9
-FD_STEP = 1e-6  # relative step for Jacobian-vector products
 Z_STEP = 1e-5   # step for the outer finite-difference Jacobian in z
 GMRES_RTOL = 1e-6
 GMRES_MAXIT = 40
@@ -72,6 +74,9 @@ class ProblemBase:
 
     def residual(self, u: Loop, eps: float) -> np.ndarray:
         return residual(u, self.k, eps, self.field, self.geometry)
+
+    def residual_jvp(self, u: Loop, eps: float):
+        return residual_jvp(u, self.k, eps, self.field, self.geometry)
 
     def energy_total(self, u: Loop, eps: float) -> float:
         return energy(u, self.k, eps, self.field, geometry=self.geometry).total
@@ -137,48 +142,62 @@ def _unpack(x, n):
     return x[: 2 * n].reshape(n, 2), float(x[2 * n]), x[2 * n + 1 :].copy()
 
 
-def _gmres(apply_op, b):
-    """Full-memory GMRES with modified Gram-Schmidt, to GMRES_RTOL in GMRES_MAXIT steps.
+def _gmres(apply_op, b, rtol):
+    """Full-memory GMRES with modified Gram-Schmidt, to ``rtol`` in GMRES_MAXIT steps.
 
-    Convergence is judged on the Arnoldi least-squares residual, which is
-    the right notion when ``apply_op`` is a finite-difference Jacobian
-    product: its nonlinearity noise floors the *recomputed* true residual
-    but not the Krylov one.  Returns (x, achieved relative residual).
+    Givens rotations keep the Hessenberg matrix triangular as it grows, so
+    the least-squares residual of each step is read off the rotated
+    right-hand side and only the final triangular system is solved.  The
+    products of ``residual_jvp`` are linear but for the O(FD_STEP) error of
+    its field difference, so this is the true residual to that accuracy.
+    Returns (x, achieved relative residual).
     """
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b), 0.0
     basis = [b / norm_b]
     hess = np.zeros((GMRES_MAXIT + 1, GMRES_MAXIT))
+    rotations = []  # (cos, sin) per step
     g = np.zeros(GMRES_MAXIT + 1)
     g[0] = norm_b
-    y = np.zeros(0)
-    rel = 1.0
-    cols = 0
     for j in range(GMRES_MAXIT):
         w = apply_op(basis[j])
         for i in range(j + 1):
             hess[i, j] = basis[i] @ w
             w = w - hess[i, j] * basis[i]
         hess[j + 1, j] = np.linalg.norm(w)
-        cols = j + 1
-        y, *_ = np.linalg.lstsq(hess[: j + 2, : j + 1], g[: j + 2], rcond=None)
-        rel = np.linalg.norm(g[: j + 2] - hess[: j + 2, : j + 1] @ y) / norm_b
-        if rel <= GMRES_RTOL or hess[j + 1, j] <= 1e-14 * norm_b:
+        breakdown = hess[j + 1, j] <= 1e-14 * norm_b
+        if not breakdown:
+            basis.append(w / hess[j + 1, j])
+        for i, (c, s) in enumerate(rotations):
+            hi, lo = hess[i, j], hess[i + 1, j]
+            hess[i, j], hess[i + 1, j] = c * hi + s * lo, c * lo - s * hi
+        r = np.hypot(hess[j, j], hess[j + 1, j])
+        if r == 0.0:  # a singular operator: this direction adds nothing
             break
-        basis.append(w / hess[j + 1, j])
-    x = np.zeros_like(b)
-    for i in range(cols):
-        x += y[i] * basis[i]
-    return x, float(rel)
+        c, s = hess[j, j] / r, hess[j + 1, j] / r
+        rotations.append((c, s))
+        hess[j, j], hess[j + 1, j] = r, 0.0
+        g[j], g[j + 1] = c * g[j], -s * g[j]
+        if abs(g[j + 1]) <= rtol * norm_b or breakdown:
+            break
+    cols = len(rotations)
+    y = np.linalg.solve(hess[:cols, :cols], g[:cols])
+    return y @ np.reshape(basis[:cols], (cols, b.size)), float(abs(g[cols]) / norm_b)
 
 
 def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -> ReductionState:
-    """Newton-Krylov solve of the bordered correction system, to REDUCE_TOL in 40 steps."""
+    """Inexact Newton-Krylov solve of the bordered correction system, to REDUCE_TOL in 40 steps.
+
+    Each iterate's residual is evaluated once, by ``problem.residual``; the
+    GMRES products apply ``problem.residual_jvp`` at that iterate, and
+    Newton step j stops GMRES at max(GMRES_RTOL, min(1e-2, sup|F_j|)).
+    """
     zp = np.asarray([z[0], z[1]] if not hasattr(z, "z1") else [z.z1, z.z2], dtype=float)
     n = problem.n
     base = problem.base_loop(zp)
     tang = problem.tangent
+    pairing = tang.reshape(len(tang), 2 * n) / n  # row i . x.ravel() = dot_mean(x, tang[i])
 
     eta = np.zeros((n, 2)) if warm is None else warm.eta.copy()
     t = 0.0 if warm is None else warm.t
@@ -190,8 +209,7 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
             raise NewtonDiverged("correction iterate left the admissible set (u2 below the guard)")
         res = problem.residual(u, eps)
         top = res - t_ * tang[0] - theta_[0] * tang[1] - theta_[1] * tang[2]
-        cons = np.array([dot_mean(eta_, tg) for tg in tang])
-        return u, res, top, cons
+        return u, res, top, pairing @ eta_.ravel()
 
     u, res, top, cons = evaluate(eta, t, theta)
     supF = max(np.abs(top).max(), np.abs(cons).max())
@@ -206,22 +224,12 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
                 f"correction Newton did not reach {REDUCE_TOL} in 40 iterations "
                 f"(residual {supF:.3e})"
             )
+        jvp = problem.residual_jvp(u, eps)
 
         def matvec(v):
             phi, a, p = _unpack(v, n)
-            scale = max(1.0, np.abs(phi).max())
-            s = FD_STEP * (1.0 + np.abs(eta).max()) / scale
-            for _ in range(8):
-                probe = base.samples + eta + s * phi
-                if problem.is_admissible(probe):
-                    break
-                s *= 0.5
-            else:
-                raise NewtonDiverged("finite-difference probe left the admissible set")
-            dres = (problem.residual(Loop(probe), eps) - res) / s
-            dtop = dres - a * tang[0] - p[0] * tang[1] - p[1] * tang[2]
-            dcons = np.array([dot_mean(phi, tg) for tg in tang])
-            return _pack(dtop, dcons[0], dcons[1:])
+            dtop = jvp(phi) - a * tang[0] - p[0] * tang[1] - p[1] * tang[2]
+            return np.concatenate((dtop.ravel(), pairing @ phi.ravel()))
 
         def psolve(w):
             rho, c0, c12 = _unpack(w, n)
@@ -229,7 +237,8 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
             return _pack(phi, a, p)
 
         rhs = -_pack(top, cons[0], cons[1:])
-        delta, rel = _gmres(lambda v: psolve(matvec(v)), psolve(rhs))
+        rtol = max(GMRES_RTOL, min(1e-2, supF))
+        delta, rel = _gmres(lambda v: psolve(matvec(v)), psolve(rhs), rtol)
         if not np.all(np.isfinite(delta)) or rel > 1e-2:
             raise NewtonDiverged(f"inner GMRES stalled at relative residual {rel:.3e}")
 

@@ -592,14 +592,31 @@ class TestResourceErrors:
         ("melnikov", "--grid", "4"),
         ("solve", "--eps", "0.01", "--grid", "4", "--n-samples", "64"),
         ("continue", "--eps-list", "0.001", "--grid", "4", "--n-samples", "64"),
+        ("euclid", "melnikov", "--grid", "4"),
+        ("euclid", "solve", "--eps", "0.01", "--grid", "4", "--n-samples", "64"),
     ])
-    def test_missing_output_directory_exits_3(self, capsys, tmp_path, command):
+    def test_missing_output_directory_exits_3(self, capsys, tmp_path, monkeypatch, command):
+        # the output is checked before any landscape or solve runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before checking the output")
+
+        for owner, name in ((melnikov, "find_critical"), (euclidean, "find_critical_euclid"),
+                            (euclidean, "solve_full_euclid"), (cli, "solve_full"),
+                            (cli, "continue_eps")):
+            monkeypatch.setattr(owner, name, refuse)
         code, out, err = run(capsys, *command, "--k", "2", "--field", QUADRATIC,
                              "--box", "-0.6,0.6,1.2,2.8",
                              "--out", str(tmp_path / "missing" / "x"))
         assert code == 3 and out == ""
         assert err.startswith("hyploop: config error: cannot write output: [Errno 2] ")
         assert err.count("\n") == 1
+
+    def test_output_under_a_file_exits_3(self, capsys, tmp_path):
+        (tmp_path / "file").write_text("")
+        code, out, err = run(capsys, "melnikov", "--k", "2", "--field", QUADRATIC, "--grid", "4",
+                             "--box", "-0.6,0.6,1.2,2.8", "--out", str(tmp_path / "file" / "x"))
+        assert code == 3 and out == ""
+        assert err.startswith("hyploop: config error: cannot write output: [Errno 20] ")
 
     def test_too_deep_field_exits_3(self, capsys):
         code, out, err = run(capsys, "reduce", "--k", "2", "--eps", "0.01", "--z", "0,2",
