@@ -20,7 +20,7 @@ box = RegionBox(-0.6, 0.6, 1.2, 2.8)
 
 print("== one correction solve at fixed (eps, z) ==")
 state = reduce_at(0.01, (0.0, 2.0), k, field)
-print("Newton iterations:", state.iterations)
+print("chord steps      :", state.iterations)
 print("residual sup      :", state.residual_sup)
 print("rotation multiplier t (vanishes at solutions):", state.t)
 print("translation multipliers theta:", state.theta)

@@ -237,17 +237,12 @@ def energy(u: Loop, k: float, eps: float = 0.0, field=None,
 
 
 def _prescribed(u: Loop, k: float, eps: float, field) -> np.ndarray:
-    """The prescribed curvature k + eps*K at the samples."""
-    return np.full(u.n, float(k)) + _perturbation(u.samples, eps, field)
-
-
-def _perturbation(samples: np.ndarray, eps: float, field):
-    """eps*K at the samples; 0 without a field evaluation when eps == 0."""
+    """The prescribed curvature k + eps*K at the samples; no field evaluation when eps == 0."""
     if eps == 0.0:
-        return 0.0
+        return np.full(u.n, float(k))
     if field is None:
         raise ValueError("eps != 0 requires a perturbation field")
-    return eps * eval_field(field, samples[:, 0], samples[:, 1])
+    return float(k) + eps * eval_field(field, u.samples[:, 0], u.samples[:, 1])
 
 
 def residual(u: Loop, k: float, eps: float = 0.0, field=None,
@@ -267,71 +262,6 @@ def _residual(u: Loop, h: np.ndarray, length: float, kappa: np.ndarray,
     up, upp = u.deriv(1), u.deriv(2)
     core = -upp + geometry.connection(up, h) + length * kappa[:, None] * rot90(up)
     return core / h[:, None] ** 2
-
-
-# Relative step of the directional difference of K in ``residual_jvp``.
-FD_STEP = 1e-6
-
-
-def residual_jvp(u: Loop, k: float, eps: float = 0.0, field=None,
-                 geometry: Geometry = HALFPLANE):
-    """The Jacobian product phi -> DJ_eps(u)[phi] of ``residual``, as a function of phi.
-
-    Write a vector v as the complex number v1 + i v2, so Gamma(v) = -i v**2
-    and DGamma(v)[w] = -2i v w.  With U = u', P = phi, dh = phi2 in the
-    half-plane (h = 1, dh = 0 and Gamma = 0 in the plane) and J = J_eps(u):
-
-        DJ[phi] = h**-2 (-P'' - 2i h**-1 U P' + i h**-2 U**2 dh + L kappa i P'
-                         + (dL kappa + L dkappa) i U) - 2 h**-1 dh J,
-        dL = mean(h**-2 Re(conj(U) P') - h**-3 |U|**2 dh) / L.
-
-    Every term is closed form, from the cached u', u'' and one transform of
-    phi, except dkappa = eps dK(u)[phi]: the directional difference
-    (K(u + s phi) - K(u)) / s of K alone, with s phi of sup-norm
-    FD_STEP max(1, |u|), so no symbolic gradient is built.  Everything
-    that does not depend on phi, K(u) included, is computed here once.
-    """
-    h = geometry.height(u)
-    _require_nonconstant(u)
-    up = u.deriv(1)
-    w = 1.0 / h**2
-    speed_sq = (up**2).sum(axis=1) * w
-    length = np.sqrt(speed_sq.mean())
-    pert = _perturbation(u.samples, eps, field)
-    kappa = np.full(u.n, float(k)) + pert
-    tangent = _complex(up)
-    along = 1j * w * tangent  # multiplies dL kappa + L dkappa
-    slope = 1j * length * kappa * w  # multiplies P'
-    pairing = np.conj(tangent) * w / length  # dL = mean(Re(pairing P')), less the dh part
-    if geometry.curved:
-        slope = slope - 2j * w / h * tangent
-        value = w * (1j * tangent * (length * kappa - tangent / h) - _complex(u.deriv(2)))  # J
-        lift = 1j * w**2 * tangent**2 - 2.0 / h * value  # multiplies dh
-        shrink = speed_sq / (h * length)  # dL's part is -mean(shrink dh)
-    step = FD_STEP * max(1.0, np.abs(u.samples).max())
-
-    def apply(phi: np.ndarray) -> np.ndarray:
-        v = Loop(phi)
-        dp, dpp = _complex(v.deriv(1)), _complex(v.deriv(2))
-        dlength = (pairing * dp).real.mean()
-        if geometry.curved:
-            dlength -= (shrink * phi[:, 1]).mean()
-        drive = dlength * kappa
-        scale = np.abs(phi).max()
-        if eps != 0.0 and scale > 0.0:
-            s = step / scale
-            drive = drive + length / s * (_perturbation(u.samples + s * phi, eps, field) - pert)
-        out = slope * dp - w * dpp + drive * along
-        if geometry.curved:
-            out += phi[:, 1] * lift
-        return out.view(float).reshape(-1, 2)
-
-    return apply
-
-
-def _complex(a: np.ndarray) -> np.ndarray:
-    """(N, 2) vectors as N complex numbers a1 + i a2 (a view when contiguous)."""
-    return np.ascontiguousarray(a).view(complex)[:, 0]
 
 
 # ---------------------------------------------------------------------------

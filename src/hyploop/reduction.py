@@ -8,15 +8,14 @@ tangent space of the unperturbed solution manifold plus multipliers
     <eta, T0> = <eta, T1> = <eta, T2> = 0
 
 with T = (u', e1, u) the tangent fields of the reference loop.  The
-nonlinear system is solved by inexact Newton with GMRES linear solves.
-Jacobian-vector products are the closed-form ``residual_jvp``, in which
-only the field term is a directional difference of K alone; no residual is
-evaluated per product.  GMRES is preconditioned by the exact inverse of the
-frozen bordered linearization (the operator whose invertibility drives the
-reduction) and solves each Newton system only as tightly as the outer
-residual needs: to max(GMRES_RTOL, min(1e-2, sup|F|)).  At a solution,
-t vanishes and theta encodes the gradient of the reduced energy in z, so
-critical centers are found by a small outer Newton iteration on theta.
+nonlinear system is solved by a chord iteration on the frozen bordered
+linearization at the translated circle, the operator whose invertibility
+drives the reduction: each step applies its exact inverse,
+``frozen_solve``, to the current residual.  It stops on a small residual
+(REDUCE_TOL) or on a small step (STEP_TOL); the step's rounding floor,
+unlike the residual's, does not grow with N.  At a solution, t vanishes
+and theta encodes the gradient of the reduced energy in z, so critical
+centers are found by a small outer Newton iteration on theta.
 
 The adapter, ``ProblemBase``, is written once over a ``Geometry`` record,
 so the Euclidean variant runs through the same code with its flat record.
@@ -40,16 +39,15 @@ from .loops import (
     energy,
     loop_length,
     residual,
-    residual_jvp,
     verify_solution,
 )
 from .melnikov import critical_point
 
 REDUCE_TOL = 1e-11
+STEP_TOL = 1e-13
+REDUCE_MAXIT = 100
 FULL_RESIDUAL_TOL = 1e-9
 Z_STEP = 1e-5   # step for the outer finite-difference Jacobian in z
-GMRES_RTOL = 1e-6
-GMRES_MAXIT = 40
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +72,6 @@ class ProblemBase:
 
     def residual(self, u: Loop, eps: float) -> np.ndarray:
         return residual(u, self.k, eps, self.field, self.geometry)
-
-    def residual_jvp(self, u: Loop, eps: float):
-        return residual_jvp(u, self.k, eps, self.field, self.geometry)
 
     def energy_total(self, u: Loop, eps: float) -> float:
         return energy(u, self.k, eps, self.field, geometry=self.geometry).total
@@ -112,7 +107,7 @@ class HyperbolicProblem(ProblemBase):
 
 
 # ---------------------------------------------------------------------------
-# Reduction state and the Newton-Krylov driver
+# Reduction state and the frozen-chord correction solve
 # ---------------------------------------------------------------------------
 
 
@@ -127,71 +122,22 @@ class ReductionState:
     t: float                 # rotation multiplier; vanishes at solutions
     theta: np.ndarray        # translation multipliers, (2,)
     residual_sup: float
-    full_residual_sup: float  # sup |J_eps| at ``loop``, without the multiplier terms
     constraint_res: np.ndarray
     loop: Loop
     length: float
     iterations: int
 
 
-def _pack(eta, t, theta):
-    return np.concatenate((eta.ravel(), [t], theta))
-
-
-def _unpack(x, n):
-    return x[: 2 * n].reshape(n, 2), float(x[2 * n]), x[2 * n + 1 :].copy()
-
-
-def _gmres(apply_op, b, rtol):
-    """Full-memory GMRES with modified Gram-Schmidt, to ``rtol`` in GMRES_MAXIT steps.
-
-    Givens rotations keep the Hessenberg matrix triangular as it grows, so
-    the least-squares residual of each step is read off the rotated
-    right-hand side and only the final triangular system is solved.  The
-    products of ``residual_jvp`` are linear but for the O(FD_STEP) error of
-    its field difference, so this is the true residual to that accuracy.
-    Returns (x, achieved relative residual).
-    """
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return np.zeros_like(b), 0.0
-    basis = [b / norm_b]
-    hess = np.zeros((GMRES_MAXIT + 1, GMRES_MAXIT))
-    rotations = []  # (cos, sin) per step
-    g = np.zeros(GMRES_MAXIT + 1)
-    g[0] = norm_b
-    for j in range(GMRES_MAXIT):
-        w = apply_op(basis[j])
-        for i in range(j + 1):
-            hess[i, j] = basis[i] @ w
-            w = w - hess[i, j] * basis[i]
-        hess[j + 1, j] = np.linalg.norm(w)
-        breakdown = hess[j + 1, j] <= 1e-14 * norm_b
-        if not breakdown:
-            basis.append(w / hess[j + 1, j])
-        for i, (c, s) in enumerate(rotations):
-            hi, lo = hess[i, j], hess[i + 1, j]
-            hess[i, j], hess[i + 1, j] = c * hi + s * lo, c * lo - s * hi
-        r = np.hypot(hess[j, j], hess[j + 1, j])
-        if r == 0.0:  # a singular operator: this direction adds nothing
-            break
-        c, s = hess[j, j] / r, hess[j + 1, j] / r
-        rotations.append((c, s))
-        hess[j, j], hess[j + 1, j] = r, 0.0
-        g[j], g[j + 1] = c * g[j], -s * g[j]
-        if abs(g[j + 1]) <= rtol * norm_b or breakdown:
-            break
-    cols = len(rotations)
-    y = np.linalg.solve(hess[:cols, :cols], g[:cols])
-    return y @ np.reshape(basis[:cols], (cols, b.size)), float(abs(g[cols]) / norm_b)
-
-
 def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -> ReductionState:
-    """Inexact Newton-Krylov solve of the bordered correction system, to REDUCE_TOL in 40 steps.
+    """Frozen-chord solve of the bordered correction system.
 
-    Each iterate's residual is evaluated once, by ``problem.residual``; the
-    GMRES products apply ``problem.residual_jvp`` at that iterate, and
-    Newton step j stops GMRES at max(GMRES_RTOL, min(1e-2, sup|F_j|)).
+    Each step is d = ``problem.frozen_solve(z, -top, -cons)``, the exact
+    inverse of the frozen linearization at the translated circle applied to
+    the current residual, damped only to keep the iterate admissible.  The
+    chord stops when sup|top, cons| <= REDUCE_TOL or sup|d| <= STEP_TOL, and
+    gives up after REDUCE_MAXIT steps or when three steps running fail to
+    shrink below 0.9 times the last.  Each iterate's residual is evaluated
+    once, by ``problem.residual``.
     """
     zp = np.asarray([z[0], z[1]] if not hasattr(z, "z1") else [z.z1, z.z2], dtype=float)
     n = problem.n
@@ -209,40 +155,30 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
             raise NewtonDiverged("correction iterate left the admissible set (u2 below the guard)")
         res = problem.residual(u, eps)
         top = res - t_ * tang[0] - theta_[0] * tang[1] - theta_[1] * tang[2]
-        return u, res, top, pairing @ eta_.ravel()
+        return u, top, pairing @ eta_.ravel()
 
-    u, res, top, cons = evaluate(eta, t, theta)
+    u, top, cons = evaluate(eta, t, theta)
     supF = max(np.abs(top).max(), np.abs(cons).max())
     iterations = 0
     stagnant = 0
+    last = np.inf
 
     while not supF <= REDUCE_TOL:  # a NaN residual enters the loop and fails
         if not np.isfinite(supF):
             raise NewtonDiverged(f"correction residual is not finite ({supF})")
-        if iterations >= 40:
+        d_eta, d_t, d_theta = problem.frozen_solve(zp, -top, -cons)
+        size = max(np.abs(d_eta).max(), abs(d_t), np.abs(d_theta).max())
+        if size <= STEP_TOL:
+            break
+        stagnant = stagnant + 1 if size > 0.9 * last else 0
+        if stagnant >= 3:
+            raise NewtonDiverged(f"correction chord stagnated at step {size:.3e}")
+        if iterations >= REDUCE_MAXIT:
             raise NewtonDiverged(
-                f"correction Newton did not reach {REDUCE_TOL} in 40 iterations "
-                f"(residual {supF:.3e})"
+                f"correction chord did not converge in {REDUCE_MAXIT} steps "
+                f"(residual {supF:.3e}, step {size:.3e})"
             )
-        jvp = problem.residual_jvp(u, eps)
-
-        def matvec(v):
-            phi, a, p = _unpack(v, n)
-            dtop = jvp(phi) - a * tang[0] - p[0] * tang[1] - p[1] * tang[2]
-            return np.concatenate((dtop.ravel(), pairing @ phi.ravel()))
-
-        def psolve(w):
-            rho, c0, c12 = _unpack(w, n)
-            phi, a, p = problem.frozen_solve(zp, rho, np.array([c0, *c12]))
-            return _pack(phi, a, p)
-
-        rhs = -_pack(top, cons[0], cons[1:])
-        rtol = max(GMRES_RTOL, min(1e-2, supF))
-        delta, rel = _gmres(lambda v: psolve(matvec(v)), psolve(rhs), rtol)
-        if not np.all(np.isfinite(delta)) or rel > 1e-2:
-            raise NewtonDiverged(f"inner GMRES stalled at relative residual {rel:.3e}")
-
-        d_eta, d_t, d_theta = _unpack(delta, n)
+        last = size
         step = 1.0
         halvings = 0
         while not problem.is_admissible(base.samples + eta + step * d_eta):
@@ -255,12 +191,8 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
         eta = eta + step * d_eta
         t = t + step * d_t
         theta = theta + step * d_theta
-        u, res, top, cons = evaluate(eta, t, theta)
-        new_sup = max(np.abs(top).max(), np.abs(cons).max())
-        stagnant = stagnant + 1 if new_sup > 0.9 * supF else 0
-        if stagnant >= 3 and new_sup > REDUCE_TOL:
-            raise NewtonDiverged(f"correction Newton stagnated at residual {new_sup:.3e}")
-        supF = new_sup
+        u, top, cons = evaluate(eta, t, theta)
+        supF = max(np.abs(top).max(), np.abs(cons).max())
         iterations += 1
 
     return ReductionState(
@@ -271,7 +203,6 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
         t=float(t),
         theta=theta,
         residual_sup=float(supF),
-        full_residual_sup=float(np.abs(res).max()),
         constraint_res=cons,
         loop=u,
         length=problem.length(u),
@@ -353,8 +284,11 @@ def solve_generic(problem, eps: float, region, grid: int = 16,
                   seed=None, warm: ReductionState | None = None) -> SolveReport:
     """Locate the critical center, in at most 30 Newton steps, and return the solved loop there.
 
-    At eps = 0 every center solves: the first correction solve leaves the
-    full residual at its floor, below FULL_RESIDUAL_TOL, and no step is taken.
+    The center iteration stops once sup|t*T0 + theta1*T1 + theta2*T2| <
+    FULL_RESIDUAL_TOL: the full residual less the correction's own, free of
+    the rounding of spectral derivatives.  At eps = 0 every center solves:
+    the first correction solve leaves the multipliers at zero and no step
+    is taken.
     """
     if seed is None:
         seed = problem.melnikov_seed(region, grid)
@@ -365,7 +299,7 @@ def solve_generic(problem, eps: float, region, grid: int = 16,
     seed_tuple = (float(z[0]), float(z[1]))
     state = reduce_generic(problem, eps, z, warm=warm)
     for _ in range(30):
-        if state.full_residual_sup < FULL_RESIDUAL_TOL:
+        if _multiplier_sup(problem, state) < FULL_RESIDUAL_TOL:
             break
         g = reduced_gradient_from_state(problem, state)
         cols = []
@@ -387,9 +321,15 @@ def solve_generic(problem, eps: float, region, grid: int = 16,
     else:
         raise NewtonDiverged(
             f"center Newton did not reach residual {FULL_RESIDUAL_TOL} "
-            f"(currently {state.full_residual_sup:.3e})"
+            f"(currently {_multiplier_sup(problem, state):.3e})"
         )
     return _finalize(problem, state, eps, z, seed_tuple)
+
+
+def _multiplier_sup(problem, state: ReductionState) -> float:
+    """sup|t*T0 + theta1*T1 + theta2*T2|, the multiplier part of the full residual."""
+    mults = np.concatenate(([state.t], state.theta))
+    return float(np.abs(np.tensordot(mults, problem.tangent, axes=1)).max())
 
 
 def _finalize(problem, state, eps, z, seed_tuple) -> SolveReport:

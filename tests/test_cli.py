@@ -200,6 +200,29 @@ class TestSolveVerifyRoundTrip:
         assert verified["eps"] == 0.01  # sidecar metadata supplied eps and field
         assert verified["defects"]["curvature_defect"] < 1e-8
 
+    def test_solve_at_k_1_3(self, capsys, tmp_path):
+        # the raw residual floor of the k = 1.3 circle lies above REDUCE_TOL at N = 256
+        code, out, _ = run(
+            capsys, "solve", "--k", "1.3", "--eps", "0.01", "--field", QUADRATIC,
+            "--box", "-0.6,0.6,1.2,2.8", "--grid", "12", "--out", str(tmp_path / "loop.csv"),
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["mu"] == 1 and report["embedded"]
+        assert report["defects"]["curvature_defect"] < 1e-10
+
+    def test_reduce_agrees_across_fine_resolutions(self, capsys):
+        thetas = []
+        for n in ("512", "1024", "2048"):
+            code, out, _ = run(
+                capsys, "reduce", "--k", "2", "--eps", "0.01", "--field", QUADRATIC,
+                "--z", "0,2", "--n-samples", n,
+            )
+            assert code == 0
+            thetas.append(json.loads(out)["theta"][1])
+        assert thetas[0] == pytest.approx(-4.1493883889e-4, abs=1e-14)
+        assert max(thetas) - min(thetas) < 1e-12
+
     def test_verify_degenerate_loop_exits_4_with_valid_json(self, capsys, tmp_path):
         path = tmp_path / "flat.csv"
         save_loop(path, Loop(np.tile([0.0, 1.0], (64, 1))), {"k": 2.0})

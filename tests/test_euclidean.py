@@ -155,6 +155,16 @@ class TestSolve:
         assert np.abs(residual(euc, K, eps, "1", FLAT)).max() < 1e-12
 
 
+    def test_random_cases_above_the_flat_residual_floor(self):
+        # the flat residual floor sits at REDUCE_TOL; the correction stops on its step
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            k, eps = rng.uniform(2.0, 3.0), rng.uniform(0.005, 0.02)
+            report = solve_full_euclid(eps, k, QUADRATIC, BOX, grid=12)
+            assert report.mu == 1 and report.embedded
+            assert report.defects.curvature_defect < 1e-9
+
+
 class TestVerifyEuclid:
     def test_circle_report(self):
         rep = verify_solution(reference_circle(K, 128), K, geometry=FLAT)

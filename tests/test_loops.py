@@ -23,7 +23,6 @@ from hyploop.loops import (
     loop_length,
     reference_loop,
     residual,
-    residual_jvp,
     save_loop,
     signed_area,
     verify_solution,
@@ -322,32 +321,6 @@ class TestResidual:
             errs.append(abs((plus - minus) / (2 * h) - target))
         assert errs[0] / max(errs[1], 1e-14) > 30  # observed order ~ h^2
         assert errs[1] < 1e-8
-
-
-class TestResidualJvp:
-    @pytest.mark.parametrize("geometry", [HALFPLANE, FLAT], ids=["halfplane", "flat"])
-    @pytest.mark.parametrize("text", ["z1^2 + (z2-2)^2", "exp(-z1^2)*sin(z2) + tanh(z1*z2)"])
-    @pytest.mark.parametrize("eps", [0.0, 0.3])
-    def test_matches_central_difference_of_residual(self, geometry, text, eps, rng):
-        field, h = parse_field(text), 1e-5
-        for _ in range(3):
-            u = band_limited_loop(rng, n=64)
-            phi = band_limited_field(rng, n=64)
-            product = residual_jvp(u, 2.0, eps, field, geometry)(phi)
-            plus = residual(Loop(u.samples + h * phi), 2.0, eps, field, geometry)
-            minus = residual(Loop(u.samples - h * phi), 2.0, eps, field, geometry)
-            oracle = (plus - minus) / (2.0 * h)
-            # the central difference's own error is about 1e-8 of its size at N = 64
-            # (the rounding of spectral second derivatives grows like N**2 / h); the
-            # field term is a forward difference of K, off by about FD_STEP of itself
-            bound = 1e-7 + 3.0 * eps * loops.FD_STEP
-            assert np.abs(product - oracle).max() < bound * np.abs(oracle).max()
-
-    def test_unperturbed_product_evaluates_no_field(self, monkeypatch, rng):
-        u = band_limited_loop(rng)
-        monkeypatch.setattr(loops, "eval_field", lambda *args: pytest.fail("field evaluated"))
-        product = residual_jvp(u, 2.0, 0.0, QUADRATIC)(band_limited_field(rng))
-        assert np.all(np.isfinite(product))
 
 
 class TestIsometryEquivariance:

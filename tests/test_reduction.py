@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hyploop import reduction
-from hyploop.errors import NewtonDiverged
+from hyploop.errors import HyploopError, NewtonDiverged
 from hyploop.fields import RegionBox, parse_field
 from hyploop.halfplane import translate
 from hyploop.linearized import _circle
@@ -23,8 +23,10 @@ from hyploop.reduction import (
 
 K_TEXT = "z1^2 + (z2-2)^2"
 QUADRATIC = parse_field(K_TEXT)
+TRANSCENDENTAL = parse_field("exp(-z1^2)*sin(z2) + tanh(z1*z2)")
 BOX = RegionBox(-0.6, 0.6, 1.2, 2.8)
 K = 2.0
+TANGENT = _circle(K, 256).tangent
 
 
 class TestReduceAt:
@@ -85,7 +87,7 @@ class TestReduceAt:
             reduce_at(0.01, (0.0, 1e-7), K, QUADRATIC)
 
     def test_one_residual_per_iterate(self, monkeypatch):
-        # Jacobian products are closed form: no residual probe per GMRES step
+        # each chord step is one frozen solve: no residual is evaluated but the iterate's
         calls = []
 
         def counting(*args, **kwargs):
@@ -205,8 +207,8 @@ class TestSolveFull:
             assert big / small == pytest.approx(2.0, abs=0.3)
 
     def test_no_loop_is_evaluated_twice(self, monkeypatch):
-        # the README case: the center iteration reads the full residual that
-        # the correction solve evaluated at its last iterate
+        # the README case: the center iteration stops on the multiplier part of
+        # the full residual, so it evaluates no residual of its own
         seen = []
 
         def recording(u, *args, **kwargs):
@@ -216,7 +218,9 @@ class TestSolveFull:
         monkeypatch.setattr(reduction, "residual", recording)
         report = solve_full(0.01, K, QUADRATIC, BOX, grid=12)
         assert len(seen) > 1 and len(set(seen)) == len(seen)
-        assert report.state.full_residual_sup < reduction.FULL_RESIDUAL_TOL
+        state = report.state
+        mults = state.t * TANGENT[0] + state.theta[0] * TANGENT[1] + state.theta[1] * TANGENT[2]
+        assert np.abs(mults).max() < reduction.FULL_RESIDUAL_TOL
 
     def test_center_shift_is_first_order(self):
         rep = solve_full(0.01, K, QUADRATIC, BOX, grid=12)
@@ -225,6 +229,47 @@ class TestSolveFull:
             rep.z_critical[1] - rep.melnikov_seed[1],
         )
         assert 0 < shift < 0.05
+
+
+class TestRawResidualFloor:
+    """Sets whose raw residual floor (growing like N**2 and with 1/k) reaches
+    REDUCE_TOL: they solve because the correction stops on its step."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256, 512, 1024, 2048])
+    @pytest.mark.parametrize("k", [1.3, 2.0, 3.0])
+    def test_every_resolution_solves(self, k, n):
+        report = solve_full(0.01, k, QUADRATIC, BOX, grid=12, n=n)
+        d = report.defects
+        assert report.mu == 1 and report.embedded
+        assert d.curvature_defect < 1e-8
+        assert d.speed_defect < 1e-9
+
+    def test_halfplane_sets_below_k_2(self):
+        boxes = ((QUADRATIC, BOX), (TRANSCENDENTAL, RegionBox(0.45, 1.05, 1.3, 2.0)))
+        solved, failures = 0, set()
+        for k in (1.4, 1.5, 1.6, 1.7, 1.8, 1.9):
+            for eps in (0.005, 0.01, 0.015, 0.02, 0.03, 0.05):
+                for field, box in boxes:
+                    try:
+                        solve_full(eps, k, field, box, grid=12)
+                        solved += 1
+                    except HyploopError as exc:
+                        failures.add(type(exc).__name__)
+        assert solved >= 66
+        assert failures <= {"NoCritical"}
+
+    def test_correction_grid(self):
+        solved = 0
+        for k in (1.5, 2.0, 3.0):
+            for eps in (0.01, 0.05, 0.1, 0.2, 0.3, 0.5, -0.1, -0.3):
+                for field in (QUADRATIC, TRANSCENDENTAL):
+                    for z in ((0.0, 2.0), (0.2, 1.7), (-0.3, 2.3)):
+                        try:
+                            reduce_at(eps, z, k, field)
+                            solved += 1
+                        except HyploopError:
+                            pass
+        assert solved >= 134
 
 
 class TestContinuation:
