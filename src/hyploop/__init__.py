@@ -4,9 +4,9 @@ The package computes closed embedded curves whose geodesic curvature in
 the Poincare half-plane equals k + eps*K at every point: exact half-plane
 primitives, a curvature-field parser with symbolic derivatives, spectral
 loop functionals, the frequency-block linearization around the reference
-circle, the disk-average (Melnikov) landscape, and a preconditioned
-Lyapunov-Schmidt solver, plus the flat-plane counterpart used as an
-oracle for the whole pipeline.
+circle, the disk-average (Melnikov) landscape, and a Lyapunov-Schmidt
+solver whose correction step is a frozen chord, plus the flat-plane
+counterpart used as an oracle for the whole pipeline.
 """
 
 from .errors import (

@@ -16,7 +16,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from . import euclidean, melnikov
 from .errors import FieldSyntaxError, HyploopError, NoCritical
 from .fields import BinOp, Const, PlaneBox, RegionBox, check_nonexistence, eval_field, parse_field
+from .halfplane import HALFPLANE
 from .linearized import kernel_report
 from .loops import curvature_radius, fmt, load_loop, save_loop, verify_solution
 from .reduction import continue_eps, reduce_at, solve_full
@@ -81,29 +83,6 @@ def emit(command: str, report: dict, summary: str):
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RunConfig:
-    k: float
-    eps: float = 0.0
-    eps_given: bool = False
-    eps_list: tuple | None = None
-    field: str | None = None
-    box: RegionBox | None = None
-    grid: int = 32
-    n_samples: int = 256
-    out: str | None = None
-    z: tuple | None = None
-    infile: str | None = None
-
-    def parsed_field(self):
-        if self.field is None:
-            raise ConfigError("--field is required for this command")
-        try:
-            return parse_field(self.field)
-        except FieldSyntaxError as exc:
-            raise ConfigError(f"bad field text: {exc}")
 
 
 class ConfigError(Exception):
@@ -197,24 +176,25 @@ def _grid(value, key, flag, euclid) -> int:
     return n
 
 
-# Each setting, once: its config key (and RunConfig field), its flag, its argparse
-# options, and the rule read(value, key, flag, euclid) that reads a flag or config
-# value into the field and checks it.  Settings are read, and fail, in this order.
+# Each setting, once: its config key (and settings attribute), its flag, its argparse
+# options, the rule read(value, key, flag, euclid) that reads a flag or config value
+# and checks it, and its value when unset.  Settings are read, and fail, in this order.
 SETTINGS = (
-    ("field", "--field", {}, _text),
-    ("out", "--out", {}, _text),
-    ("infile", "--in", {"help": "loop CSV to verify"}, _text),
-    ("k", "--k", {"type": float}, _curvature),
-    ("box", "--box", {"help": "z1min,z1max,z2min,z2max"}, _box),
-    ("z", "--z", {"help": "z1,z2"}, _center),
-    ("eps_list", "--eps-list", {"help": "comma-separated eps targets"}, _numbers(0)),
-    ("n_samples", "--n-samples", {"type": int}, _samples),
-    ("grid", "--grid", {"type": int}, _grid),
-    ("eps", "--eps", {"type": float}, lambda v, key, flag, euclid: _parse_floats(v, 1, flag)[0]),
+    ("field", "--field", {}, _text, None),
+    ("out", "--out", {}, _text, None),
+    ("infile", "--in", {"help": "loop CSV to verify"}, _text, None),
+    ("k", "--k", {"type": float}, _curvature, None),
+    ("box", "--box", {"help": "z1min,z1max,z2min,z2max"}, _box, None),
+    ("z", "--z", {"help": "z1,z2"}, _center, None),
+    ("eps_list", "--eps-list", {"help": "comma-separated eps targets"}, _numbers(0), None),
+    ("n_samples", "--n-samples", {"type": int}, _samples, 256),
+    ("grid", "--grid", {"type": int}, _grid, 32),
+    ("eps", "--eps", {"type": float}, lambda v, key, flag, _: _parse_floats(v, 1, flag)[0], 0.0),
 )
 
 
-def _build_config(args, euclid: bool = False) -> RunConfig:
+def _build_config(args, euclid: bool = False) -> argparse.Namespace:
+    """The settings of a run: one attribute per SETTINGS key, and ``eps_given``."""
     loaded = {}
     if args.config:
         try:
@@ -229,13 +209,23 @@ def _build_config(args, euclid: bool = False) -> RunConfig:
         # null leaves a setting unset, as if its key were absent
         loaded = {key: value for key, value in loaded.items() if value is not None}
     values = {}
-    for key, flag, _, read in SETTINGS:
+    for key, flag, _, read, _ in SETTINGS:
         given = getattr(args, key, None)  # a flag overrides the config file
         if given is not None or key in loaded:
             values[key] = read(loaded[key] if given is None else given, key, flag, euclid)
         elif key == "k":
             raise ConfigError("--k is required")
-    return RunConfig(eps_given="eps" in values, **values)
+    unset = {key: value for key, *_, value in SETTINGS}
+    return argparse.Namespace(**{**unset, **values}, eps_given="eps" in values)
+
+
+def _parsed_field(cfg):
+    if cfg.field is None:
+        raise ConfigError("--field is required for this command")
+    try:
+        return parse_field(cfg.field)
+    except FieldSyntaxError as exc:
+        raise ConfigError(f"bad field text: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +253,10 @@ def _point_dict(p) -> dict:
     }
 
 
-def _cmd_melnikov(cfg: RunConfig, euclid: bool = False) -> int:
+def _cmd_melnikov(cfg, euclid: bool = False) -> int:
     if cfg.box is None:
         raise ConfigError("--box is required for melnikov")
-    expr = cfg.parsed_field()
+    expr = _parsed_field(cfg)
     out = _output(cfg.out or "melnikov.csv")
     find = euclidean.find_critical_euclid if euclid else melnikov.find_critical
     search = find(cfg.k, expr, cfg.box, cfg.grid)
@@ -292,7 +282,7 @@ def _cmd_melnikov(cfg: RunConfig, euclid: bool = False) -> int:
     return EXIT_OK
 
 
-def _cmd_kernel(cfg: RunConfig) -> int:
+def _cmd_kernel(cfg) -> int:
     rep = kernel_report(cfg.k, cfg.n_samples)
     report = {
         "k": rep.k,
@@ -310,7 +300,7 @@ def _cmd_kernel(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_verify(cfg) -> int:
     if cfg.infile is None:
         raise ConfigError("--in is required for verify")
     try:
@@ -319,12 +309,13 @@ def _cmd_verify(cfg: RunConfig) -> int:
         eps = cfg.eps if cfg.eps_given else float((meta or {}).get("eps", 0.0))
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"cannot read loop {cfg.infile!r}: {exc}")
-    if not loop.is_upper:
+    flat = (meta or {}).get("plane") == "flat"  # written by euclid solve
+    if not (flat or loop.is_upper):
         raise ConfigError(f"loop {cfg.infile!r} leaves the half-plane (a sample has u2 <= 0)")
     expr = parse_field(field_text) if field_text else None
     if expr is None:
         eps = 0.0
-    rep = verify_solution(loop, cfg.k, eps, expr)
+    rep = verify_solution(loop, cfg.k, eps, expr, euclidean.FLAT if flat else HALFPLANE)
     report = {
         "k": cfg.k,
         "eps": eps,
@@ -344,10 +335,10 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_reduce(cfg: RunConfig) -> int:
+def _cmd_reduce(cfg) -> int:
     if cfg.z is None:
         raise ConfigError("--z is required for reduce")
-    expr = cfg.parsed_field()
+    expr = _parsed_field(cfg)
     state = reduce_at(cfg.eps, cfg.z, cfg.k, expr, cfg.n_samples)
     report = {
         "k": cfg.k,
@@ -367,7 +358,7 @@ def _cmd_reduce(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _blocked_evidence(cfg: RunConfig, expr):
+def _blocked_evidence(cfg, expr):
     """Sampled total-curvature bound: sup |k + eps*K| <= 1 admits no loop.
 
     Returns the nonexistence report of k + eps*K on the sample grid that
@@ -381,10 +372,10 @@ def _blocked_evidence(cfg: RunConfig, expr):
     return check_nonexistence(total, cfg.box, samples)
 
 
-def _cmd_solve(cfg: RunConfig, euclid: bool = False) -> int:
+def _cmd_solve(cfg, euclid: bool = False) -> int:
     if cfg.box is None:
         raise ConfigError("--box is required for solve")
-    expr = cfg.parsed_field()
+    expr = _parsed_field(cfg)
     out = _output(cfg.out or "loop.csv")
     command = "euclid solve" if euclid else "solve"
     evidence = None if euclid else _blocked_evidence(cfg, expr)
@@ -405,7 +396,7 @@ def _cmd_solve(cfg: RunConfig, euclid: bool = False) -> int:
     except NoCritical as exc:
         emit(command, {"note": str(exc)}, f"no critical point: {exc}")
         return EXIT_BLOCKED
-    _save_loop(out, cfg, result)
+    _save_loop(out, cfg, result, euclid)
     report = {
         "k": cfg.k,
         "eps": result.eps,
@@ -424,18 +415,19 @@ def _cmd_solve(cfg: RunConfig, euclid: bool = False) -> int:
     return EXIT_OK
 
 
-def _save_loop(path, cfg: RunConfig, result):
-    """The loop of a SolveReport, with the sidecar that ``verify`` reads."""
+def _save_loop(path, cfg, result, euclid: bool = False):
+    """The loop of a SolveReport, with the sidecar that ``verify`` reads; a flat one says so."""
     save_loop(path, result.loop, {
         "k": cfg.k, "eps": result.eps, "field": cfg.field, "N": cfg.n_samples,
         "z_critical": list(result.z_critical), "schema": SCHEMA,
+        **({"plane": "flat"} if euclid else {}),
     })
 
 
-def _cmd_continue(cfg: RunConfig) -> int:
+def _cmd_continue(cfg) -> int:
     if cfg.box is None or not cfg.eps_list:
         raise ConfigError("--box and --eps-list are required for continue")
-    expr = cfg.parsed_field()
+    expr = _parsed_field(cfg)
     out_prefix = cfg.out or "continued"
     _output(f"{out_prefix}_0.csv")
     result = continue_eps(cfg.k, expr, cfg.box, cfg.eps_list, cfg.grid, cfg.n_samples)
@@ -489,14 +481,16 @@ COMMANDS = {
 
 
 def _add_settings(p, keys):
-    p.add_argument("--config", help="JSON file with RunConfig keys; flags override it")
+    p.add_argument("--config", help="JSON file with setting keys; flags override it")
     rows = {row[0]: row for row in SETTINGS}
     for key in keys:
-        _, flag, options, _ = rows[key]
+        _, flag, options, *_ = rows[key]
         p.add_argument(flag, dest=key, **options)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later ``main`` call."""
     parser = _Parser(prog="hyploop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, keys) in COMMANDS.items():

@@ -37,7 +37,7 @@ class QuadratureFailure(HyploopError):
 
 
 class NewtonDiverged(HyploopError):
-    """Newton iteration stagnated, blew up, or left the admissible set."""
+    """The correction chord or Newton iteration stagnated, blew up, or left the admissible set."""
 
 
 class StepTooLarge(HyploopError):

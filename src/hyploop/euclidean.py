@@ -20,7 +20,8 @@ import numpy as np
 from ._quad import disk_rule
 from .fields import RegionBox, as_field, eval_field
 from .halfplane import Geometry, rot90
-from .loops import Loop, dot_mean, energy
+from .linearized import bordered_solve, denoise_spectrum, tangent_projection
+from .loops import Loop, energy
 from .melnikov import NA_DEFAULT, NR_DEFAULT, CriticalSearch, _boundary_gradient, find_critical
 from .reduction import ProblemBase, SolveReport, solve_generic
 
@@ -45,8 +46,6 @@ def _complex_modes(n: int) -> np.ndarray:
 
 def apply_linearization_euclid(phi: np.ndarray, k: float) -> np.ndarray:
     """Apply the circle linearization to a field, exactly per complex mode."""
-    from .linearized import denoise_spectrum
-
     phi = np.asarray(phi, dtype=float)
     n = phi.shape[0]
     m = _complex_modes(n)
@@ -154,20 +153,15 @@ class EuclideanProblem(ProblemBase):
 
     def __init__(self, k: float, field, n: int = 256):
         super().__init__(k, field, n)
-        self._gram = np.array([[dot_mean(a, b) for b in self.tangent] for a in self.tangent])
+        self._projection = tangent_projection(self.tangent)
 
     def base_loop(self, z) -> Loop:
         return Loop(self.reference.samples + np.asarray(z, dtype=float))
 
     def frozen_solve(self, z, rhs, cons):
-        tang = self.tangent
-        mults = np.linalg.solve(self._gram, -np.array([dot_mean(rhs, t) for t in tang]))
-        f = rhs + np.tensordot(mults, tang, axes=1)
-        phi_tan = np.tensordot(np.linalg.solve(self._gram, np.asarray(cons, float)), tang, axes=1)
-        phi_perp = solve_linearization_euclid(f, self.k)
-        tcoef = np.linalg.solve(self._gram, np.array([dot_mean(phi_perp, t) for t in tang]))
-        phi_perp = phi_perp - np.tensordot(tcoef, tang, axes=1)
-        return phi_tan + phi_perp, float(mults[0]), mults[1:]
+        """``bordered_solve`` with the flat circle's inverse, ``solve_linearization_euclid``."""
+        return bordered_solve(self.tangent, *self._projection,
+                              lambda f: solve_linearization_euclid(f, self.k), rhs, cons)
 
 
 def solve_full_euclid(eps: float, k: float, field, region: RegionBox,

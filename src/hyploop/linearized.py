@@ -66,22 +66,29 @@ def _circle(k: float, n: int) -> _Circle:
     om_p = np.column_stack(((1.0 - k * np.sin(theta)) / denom, np.cos(theta) / (rk * denom)))
     i_om_p = rot90(om_p)
     tangent = np.stack((om_p, *HALFPLANE.killing(base.samples)[:2]))
-    tang = tangent.reshape(3, 2 * n)
-    ginv = np.linalg.inv(tang @ tang.T / n)
+    ginv, proj = tangent_projection(tangent)
     u2 = base.samples[:, 1]
     scale = (u2**2 / (rk * u2) ** 2)[:, None]
     weights = np.stack([np.column_stack((om_p[:, c], i_om_p[:, c])) * scale for c in (0, 1)])
     blocks = mode_blocks(k, n)
     circle = _Circle(
-        base, om_p, i_om_p, tangent, ginv, ginv @ tang / n, weights,
+        base, om_p, i_om_p, tangent, ginv, proj, weights,
         (blocks[0].matrix, np.stack([b.matrix for b in blocks[1:]])),
         (blocks[0].pinv, np.stack([b.pinv for b in blocks[1:]])),
         float((base.samples**2).sum(axis=1).mean()), energy(base, k).total,
     )
-    for arr in (om_p, i_om_p, tangent, ginv, circle.proj, weights, *circle.blocks,
+    for arr in (om_p, i_om_p, tangent, ginv, proj, weights, *circle.blocks,
                 *circle.pinvs):
         arr.flags.writeable = False
     return circle
+
+
+def tangent_projection(tangent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(3, N, 2) tangent fields' inverse Gram matrix ginv, and proj: f's projection on them is
+    (proj @ f.ravel()) @ tangent."""
+    tang, n = tangent.reshape(3, -1), tangent.shape[1]
+    ginv = np.linalg.inv(tang @ tang.T / n)
+    return ginv, ginv @ tang / n
 
 
 def from_frame(g: np.ndarray, k: float) -> np.ndarray:
@@ -317,30 +324,33 @@ def apply_linearization(z, phi: np.ndarray, k: float) -> np.ndarray:
     return image / (zp.z2**2 * _circle(k, phi.shape[0]).base.samples[:, 1] ** 2)[:, None]
 
 
-def frozen_solve(z, k: float, rhs: np.ndarray, cons: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Invert the frozen bordered linearization at a translated circle.
+def bordered_solve(tangent, ginv, proj, inverse, rhs, cons):
+    """Solve a linearization L bordered by its tangent fields T, in either plane, for (phi, a, p):
 
-    Solves, for (phi, a, p):
+        L phi - a*T0 - p1*T1 - p2*T2 = rhs,   <phi, Ti> = cons[i]
 
-        D J0 (translated circle) phi - a*u' - p1*e1 - p2*u = rhs
-        <phi, u'> = cons[0],  <phi, e1> = cons[1],  <phi, u> = cons[2]
-
-    following the constructive scheme: multipliers (a, p) absorb the
-    tangential part of rhs, the tangential part of phi matches the
-    constraints, and the orthogonal part comes from the per-frequency
-    solve conjugated through the frame.
+    The multipliers take the tangential part of rhs, ``inverse`` (the
+    plane's inverse of L on tangent-orthogonal fields) gives phi's
+    orthogonal part, and phi's tangential part matches the constraints.
+    ``ginv`` and ``proj`` are those of ``tangent_projection``.
     """
-    z2 = as_point(z).z2
     rhs = np.asarray(rhs, dtype=float)
-    n = rhs.shape[0]
-    circle = _circle(k, n)
-    tang, proj, weights = circle.tangent.reshape(3, 2 * n), circle.proj, circle.weights
-    # multipliers: rhs + a*T0 + p1*T1 + p2*T2 must be tangent-orthogonal
-    mults = -(proj @ rhs.ravel())
-    f = rhs + (mults @ tang).reshape(n, 2)
-    # orthogonal part via the frame operator
-    g = _solve_modes(z2**2 * (f[:, 0:1] * weights[0] + f[:, 1:2] * weights[1]), k)
-    phi_perp = from_frame(g, k)
+    tang = tangent.reshape(3, -1)
+    mults = -(proj @ rhs.ravel())  # rhs + a*T0 + p1*T1 + p2*T2 is tangent-orthogonal
+    phi_perp = inverse(rhs + (mults @ tang).reshape(rhs.shape))
     # tangential part of phi from the constraints, less that of phi_perp
-    coeffs = circle.ginv @ np.asarray(cons, dtype=float) - proj @ phi_perp.ravel()
-    return phi_perp + (coeffs @ tang).reshape(n, 2), float(mults[0]), mults[1:]
+    coeffs = ginv @ np.asarray(cons, dtype=float) - proj @ phi_perp.ravel()
+    return phi_perp + (coeffs @ tang).reshape(rhs.shape), float(mults[0]), mults[1:]
+
+
+def frozen_solve(z, k: float, rhs: np.ndarray, cons: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """``bordered_solve`` at a translated circle: L = D J0 there, T = (u', e1, u), and
+    L inverted per frequency through the frame (z2**2 times the frame image of f)."""
+    z2 = as_point(z).z2
+    circle = _circle(k, np.shape(rhs)[0])
+    w = circle.weights
+
+    def inverse(f):
+        return from_frame(_solve_modes(z2**2 * (f[:, 0:1] * w[0] + f[:, 1:2] * w[1]), k), k)
+
+    return bordered_solve(circle.tangent, circle.ginv, circle.proj, inverse, rhs, cons)

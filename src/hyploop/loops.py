@@ -95,7 +95,8 @@ class Loop:
         return bool(self.samples[:, 1].min() > 0.0)
 
     def __add__(self, other):
-        return Loop(self.samples + np.asarray(other))
+        other = other.samples if isinstance(other, Loop) else np.asarray(other)
+        return Loop(self.samples + other)
 
     def __sub__(self, other):
         other = other.samples if isinstance(other, Loop) else np.asarray(other)

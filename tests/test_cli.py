@@ -419,6 +419,25 @@ class TestEuclidCommands:
         report = json.loads(out)
         assert report["embedded"] and report["mu"] == 1
 
+    def test_solve_then_verify_in_the_flat_plane(self, capsys, tmp_path):
+        # the sidecar names the plane, so verify reproduces the solve's defects
+        out = tmp_path / "flat.csv"
+        code, solved, _ = run(capsys, "euclid", "solve", "--k", "2", "--eps", "0.01",
+                              "--field", QUADRATIC, "--box", "-0.6,0.6,1.4,2.6",
+                              "--out", str(out))
+        assert code == 0
+        assert json.loads(out.with_suffix(".json").read_text())["plane"] == "flat"
+        code, verified, err = run(capsys, "verify", "--in", str(out), "--k", "2")
+        assert code == 0, err
+        assert json.loads(verified)["defects"] == json.loads(solved)["defects"]
+
+    def test_verify_accepts_a_flat_loop_below_the_axis(self, capsys, tmp_path):
+        save_loop(tmp_path / "low.csv", euclidean.reference_circle(2.0, 64),  # about (0, 0)
+                  {"k": 2.0, "eps": 0.0, "field": None, "plane": "flat"})
+        code, out, err = run(capsys, "verify", "--in", str(tmp_path / "low.csv"), "--k", "2")
+        assert code == 0, err
+        assert json.loads(out)["defects"]["curvature_defect"] < 1e-12
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, capsys, tmp_path):
@@ -698,6 +717,23 @@ class TestProcess:
             proc = run_process("-m", "hyploop.cli", *argv, cwd=tmp_path)
             assert proc.returncode == 0, (argv, proc.stderr)
             assert proc.stderr.count("\n") == 1, (argv, proc.stderr)
+
+    def test_parser_is_built_once_on_first_use(self, tmp_path):
+        proc = run_process("-c", """
+import argparse, contextlib, io
+builds = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    builds.extend([1] if kwargs.get("prog") == "hyploop" else [])
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import hyploop.cli
+at_import = len(builds)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [hyploop.cli.main(["kernel", "--k", "2", "--n-samples", "8"]) for _ in range(3)]
+print(at_import, len(builds), codes)
+""", cwd=tmp_path)
+        assert proc.stdout == "0 1 [0, 0, 0]\n", proc.stderr
 
     def test_cli_import_leaves_scipy_out(self, tmp_path):
         proc = run_process("-c", "import sys, hyploop.cli; print('scipy' in sys.modules)",

@@ -127,6 +127,12 @@ class TestLoopContainer:
         expect = np.column_stack((np.cos(3 * (theta + alpha)), 2 + np.sin(theta + alpha)))
         assert np.abs(out.samples - expect).max() < 1e-13
 
+    def test_add_and_subtract_take_a_loop_or_an_array(self, rng):
+        u, v = band_limited_loop(rng, n=64), band_limited_loop(rng, n=64)
+        assert np.array_equal((u + v).samples, u.samples + v.samples)
+        assert np.array_equal((u + v.samples).samples, (u + v).samples)
+        assert np.array_equal((u - v).samples, (u - v.samples).samples)
+
     def test_refined_matches_interpolant(self):
         u = reference_loop(2.0, 64)
         fine = u.refined(4)
