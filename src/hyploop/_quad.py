@@ -98,3 +98,24 @@ def disk_rule(nr: int, na: int):
     q[:, 1] = np.outer(r, np.sin(ang)).ravel()
     weights = np.outer(r * wr, np.full(na, wa)).ravel()
     return q, weights
+
+
+@lru_cache(maxsize=8)
+def nested_disk_rule(n: int):
+    """Clenshaw-Curtis radius (n nodes; r = 0 has no weight) x 2n angles on the unit disk.
+
+    Returns the nodes q1, q2 and weights, then the indices and weights of the
+    coarse rule, n/2 radii x n angles, on the even ones.  Scale as ``disk_rule``.
+    """
+    def radii(m):  # r_j = (1 + cos(j pi / m)) / 2, j < m, and r times its weight on [0, 1]
+        j, i = np.arange(m), np.arange(1, m // 2 + 1)
+        b = np.where(i == m // 2, 1.0, 2.0) / (4.0 * i**2 - 1.0)
+        r = 0.5 * (1.0 + np.cos(np.pi * j / m))
+        w = (1.0 - b @ np.cos(2.0 * np.pi * np.outer(i, j) / m)) * np.where(j, 1.0, 0.5) / m
+        return r, r * w
+
+    (r, w), phi = radii(n), np.pi * np.arange(2 * n) / n
+    coarse = np.arange(2 * n * n).reshape(n, 2 * n)[::2, ::2].ravel()
+    return (np.outer(r, np.cos(phi)).ravel(), np.outer(r, np.sin(phi)).ravel(),
+            np.repeat(w * (np.pi / n), 2 * n), coarse,
+            np.repeat(radii(n // 2)[1] * (2.0 * np.pi / n), n))

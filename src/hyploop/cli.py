@@ -142,7 +142,11 @@ def _center(value, key, flag, euclid):
 
 
 def _curvature(value, key, flag, euclid) -> float:
+    """k by the rule of its plane; None for ``euclid`` defers the rule (verify: the sidecar
+    names the plane)."""
     k = _parse_floats(value, 1, flag)[0]
+    if euclid is None:
+        return k
     if not euclid:
         try:
             curvature_radius(k)  # the half-plane bounds on k, stated once
@@ -310,6 +314,7 @@ def _cmd_verify(cfg) -> int:
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"cannot read loop {cfg.infile!r}: {exc}")
     flat = (meta or {}).get("plane") == "flat"  # written by euclid solve
+    _curvature(cfg.k, "k", "--k", flat)
     if not (flat or loop.is_upper):
         raise ConfigError(f"loop {cfg.infile!r} leaves the half-plane (a sample has u2 <= 0)")
     expr = parse_field(field_text) if field_text else None
@@ -507,7 +512,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     euclid = args.command == "euclid"
     try:
-        cfg = _build_config(args, euclid=euclid)
+        cfg = _build_config(args, euclid=None if args.command == "verify" else euclid)
         handler = COMMANDS[args.euclid_command if euclid else args.command][0]
         # overflow and NaN reach the user as one error line, not as numpy warnings:
         # the NaN checks of the correction solve and the quadratures still fire

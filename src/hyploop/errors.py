@@ -24,7 +24,7 @@ class FieldSyntaxError(HyploopError):
 class EvalDomainError(HyploopError):
     """Field evaluation left the domain (log/sqrt of a negative, division by zero).
 
-    The Melnikov gradient raises it too where K is not finite on a disk boundary.
+    The Melnikov value and gradient raise it too where K is not finite on their disk.
     """
 
 

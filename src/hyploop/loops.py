@@ -336,12 +336,8 @@ def _all_pairs_simple(pts: np.ndarray) -> bool:
         d3 = cross(s - r, p - r)
         d4 = cross(s - r, q - r)
         hit = (d1 * d2 <= 0.0) & (d3 * d4 <= 0.0)
-        boxes = (
-            (np.maximum(p[..., 0], q[..., 0]) >= np.minimum(r[..., 0], s[..., 0]))
-            & (np.maximum(r[..., 0], s[..., 0]) >= np.minimum(p[..., 0], q[..., 0]))
-            & (np.maximum(p[..., 1], q[..., 1]) >= np.minimum(r[..., 1], s[..., 1]))
-            & (np.maximum(r[..., 1], s[..., 1]) >= np.minimum(p[..., 1], q[..., 1]))
-        )
+        boxes = ((np.maximum(p, q) >= np.minimum(r, s))
+                 & (np.maximum(r, s) >= np.minimum(p, q))).all(axis=-1)
         if np.any(hit & boxes & ~adjacent):
             return False
     return True
@@ -403,15 +399,8 @@ def verify_solution(u: Loop, k: float, eps: float = 0.0, field=None,
             length=length,
         )
     except DegenerateLoop:
-        return VerifyReport(
-            residual_sup=np.inf,
-            speed_defect=np.inf,
-            curvature_defect=np.inf,
-            killing=np.full(3, np.inf),
-            mu=0,
-            embedded=False,
-            length=0.0,
-        )
+        return VerifyReport(residual_sup=np.inf, speed_defect=np.inf, curvature_defect=np.inf,
+                            killing=np.full(3, np.inf), mu=0, embedded=False, length=0.0)
 
 
 # ---------------------------------------------------------------------------

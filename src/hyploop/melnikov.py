@@ -11,10 +11,14 @@ is a Euclidean disk, so F reduces to a fixed-domain integral
     F(z) = integral over D_{R_k}(0) of (q2 + k*R_k)**-2 K(z2*q + z^k) dq,
     z^k = (z1, k*R_k*z2),
 
-evaluated with a Gauss-Legendre (radial) x uniform (angular) tensor rule.
-By Reynolds' rule for the moving disk, grad F is a periodic integral of K
-over its boundary circle, taken by a trapezoid rule that checks itself per
-center; no derivative of K is needed.  The critical-point search (grid
+taken per center by Clenshaw-Curtis in the radius (n nodes, from 16) times
+the trapezoid rule on 2n angles.  The n/2 x n rule on its even nodes gives
+the error estimate from the same points; a center whose estimate exceeds
+both 1e-10 max(1, |F|) and the rounding of K doubles n alone, up to 512,
+then raises QuadratureFailure.  By Reynolds' rule for the moving disk,
+grad F is a periodic integral of K over its boundary circle, taken by a
+trapezoid rule that checks itself per center in the same way; no
+derivative of K is needed.  The critical-point search (grid
 scan + Newton refinement + Hessian classification) works from grad F and
 evaluates F only at the node of largest |grad F|, for its rounding scale,
 and at each point it reports.  ``find_critical`` adds F at every node, the
@@ -25,11 +29,11 @@ record for the flat plane.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import disk_rule
+from ._quad import nested_disk_rule
 from .errors import EvalDomainError, NoCritical, QuadratureFailure
 from .fields import RegionBox, as_field, eval_field
 from .halfplane import HALFPLANE, Geometry, as_point
@@ -37,6 +41,8 @@ from .loops import curvature_radius
 
 NR_DEFAULT = 64
 NA_DEFAULT = 128
+VALUE_ORDER = 16  # first radial order of the checked value rule; it doubles up to 32x
+VALUE_RTOL = 1e-10
 GRAD_TOL = 1e-10
 NEWTON_MAXIT = 40
 DEGENERATE_RTOL = 1e-7  # |eigenvalue| below this times ||Hess|| counts as zero
@@ -47,36 +53,39 @@ DEGENERATE_RTOL = 1e-7  # |eigenvalue| below this times ||Hess|| counts as zero
 # ---------------------------------------------------------------------------
 
 
-def melnikov_grid(z1, z2, k: float, field, nr: int = NR_DEFAULT, na: int = NA_DEFAULT):
-    """F on arrays of centers (vectorized over z, fixed quadrature order)."""
-    expr = as_field(field)
-    z1 = np.asarray(z1, dtype=float).ravel()
-    z2 = np.asarray(z2, dtype=float).ravel()
+def melnikov_grid(z1, z2, k: float, field):
+    """F on arrays of centers, each by the self-checked rule of the module docstring."""
     rk = curvature_radius(k)
-    q, w = disk_rule(nr, na)
-    q, w, c = q * rk, w * rk**2, k * rk
-    out = np.empty(z1.size)
-    weight = w / (q[:, 1] + c) ** 2
-    for start in range(0, z1.size, 256):
-        sl = slice(start, min(start + 256, z1.size))
-        p1 = z1[None, sl] + np.outer(q[:, 0], z2[sl])
-        p2 = np.outer(q[:, 1] + c, z2[sl])
-        out[sl] = weight @ eval_field(expr, p1, p2)
-    return out
+
+    def rule(z1, z2, n, evaluate):
+        q1, q2, fine, coarse_nodes, coarse = nested_disk_rule(n)
+        kv = evaluate(z1 + z2 * (rk * q1), z2 * (rk * q2 + k * rk))
+        scale = (rk / (rk * q2 + k * rk)) ** 2  # the hyperbolic area element
+        w, wc = (fine * scale)[:, None], (coarse * scale[coarse_nodes])[:, None]
+        # one dot product per center: the same bits for a center alone or in a batch
+        value, size = ((v[:, None] @ w)[:, 0, 0] for v in (kv, abs(kv)))
+        gap = value - (kv[:, None, coarse_nodes] @ wc)[:, 0, 0]
+        return value, np.abs(gap), np.maximum(VALUE_RTOL * np.maximum(1.0, np.abs(value)),
+                                              4e-16 * size)
+
+    return _per_center(z1, z2, as_field(field), np.empty(np.size(z1)), rule,
+                       (VALUE_ORDER, 32 * VALUE_ORDER, lambda n: 2 * n * n),
+                       ("inside the disk", "disk average did not stabilize"))
 
 
 def melnikov_value(z, k: float, field, geometry: Geometry = HALFPLANE) -> float:
-    """F at a single center, refining the rule until it stabilizes.
+    """F at a single center; the flat record's fixed rule is refined here.
 
-    From NR_DEFAULT x NA_DEFAULT the orders double, at most 3 times, until
-    successive values agree to 1e-9 relative to max(1, |F|); smooth fields
-    stop at the first comparison.
+    From NR_DEFAULT x NA_DEFAULT its orders double, at most 3 times, until
+    successive values agree to 1e-9 relative to max(1, |F|).  The half plane
+    has one rule, which checks itself: ``melnikov_grid``.
     """
-    z1, z2 = astuple(as_point(z)) if geometry.curved else (z[0], z[1])
-    value_grid = geometry.disk[0] if geometry.disk else melnikov_grid
-    prev = float(value_grid([z1], [z2], k, field, NR_DEFAULT, NA_DEFAULT)[0])
+    if not geometry.disk:
+        zp = as_point(z)
+        return float(melnikov_grid([zp.z1], [zp.z2], k, field)[0])
+    prev = float(geometry.disk[0]([z[0]], [z[1]], k, field, NR_DEFAULT, NA_DEFAULT)[0])
     for m in (2, 4, 8):
-        cur = float(value_grid([z1], [z2], k, field, m * NR_DEFAULT, m * NA_DEFAULT)[0])
+        cur = float(geometry.disk[0]([z[0]], [z[1]], k, field, m * NR_DEFAULT, m * NA_DEFAULT)[0])
         if abs(cur - prev) <= 1e-9 * max(1.0, abs(cur)):
             return cur
         prev = cur
@@ -89,50 +98,71 @@ def melnikov_gradient_grid(z1, z2, k: float, field):
     return _boundary_gradient(z1, z2, field, lift=k * rk, r0=0.0, r1=rk, curved=True)
 
 
+def _per_center(z1, z2, expr, out, rule, orders, words):
+    """Fill ``out`` by a rule that checks itself per center; a center it misses refines alone.
+
+    ``rule(z1, z2, n, evaluate)`` takes a column of centers, gets K from
+    ``evaluate`` at its order-n points and returns their results, the gap to
+    its nested coarse rule and its tolerance.  ``orders``: the first order,
+    the cap and K points per center at order n.  A center past its tolerance
+    is redone on order 2n; past the cap it raises QuadratureFailure, and a
+    non-finite K EvalDomainError (``words`` name both).
+    """
+    z1, z2 = np.asarray(z1, dtype=float).ravel(), np.asarray(z2, dtype=float).ravel()
+    (n, cap, size), todo = orders, np.arange(z1.size)
+
+    def center(i):
+        return f"center ({z1[i]:.6g}, {z2[i]:.6g})"
+
+    def evaluate(p1, p2):  # K at the points of the centers idx, one row each
+        kv = eval_field(expr, p1, p2)
+        bad = ~np.isfinite(kv).all(axis=1)
+        if bad.any():
+            raise EvalDomainError(f"field is not finite {words[0]} of "
+                                  f"{center(idx[np.argmax(bad)])}")
+        return kv
+
+    while todo.size:
+        left = []
+        for idx in np.array_split(todo, -(-todo.size * size(n) // 2**19)):  # 4 MB arrays
+            rows, err, tol = rule(z1[idx, None], z2[idx, None], n, evaluate)
+            ok = err <= tol
+            out[idx[ok]] = rows[ok]
+            if n >= cap and not ok.all():
+                j = int(np.argmin(ok))
+                raise QuadratureFailure(f"{words[1]} at {center(idx[j])}: halving estimate "
+                                        f"{err[j]:.3e} with {size(n)} points")
+            left.append(idx[~ok])
+        todo, n = np.concatenate(left), 2 * n
+    return out
+
+
 def _boundary_gradient(z1, z2, field, lift, r0, r1, curved):
     """grad F for the disks with center (z1, lift*z2) and radius r = r0 + r1*z2.
 
     By Reynolds' rule grad F is the integral of K(p) (nu1, lift*nu2 + r1) r dphi
     over p = center + r*nu, times p2**-2 if ``curved``.  A constant K gives 0,
     so each center's mean of K is taken off first.  The trapezoid sum on nb
-    nodes is checked against the nb/2 sum on its even nodes: a center off by
-    more than both 0.1*GRAD_TOL*max(1, |grad F|) and the rounding of K is
-    redone alone on 2*nb nodes, from 2*NA_DEFAULT up to 16*NA_DEFAULT.  The
-    first center with a non-finite K on its boundary raises EvalDomainError.
+    nodes is checked against the nb/2 sum on its even nodes to 0.1*GRAD_TOL
+    max(1, |grad F|) or the rounding of K, from 2*NA_DEFAULT up to 16*NA_DEFAULT.
     """
-    expr = as_field(field)
-    z1 = np.asarray(z1, dtype=float).ravel()
-    z2 = np.asarray(z2, dtype=float).ravel()
-    grad = np.empty((z1.size, 2))
-    for start in range(0, z1.size, 256):
-        todo, nb = np.arange(start, min(start + 256, z1.size)), 2 * NA_DEFAULT
-        while todo.size:
-            theta = 2.0 * np.pi * np.arange(nb) / nb
-            n1, n2 = np.cos(theta), np.sin(theta)
-            r = (r0 + r1 * z2[todo])[:, None]
-            p2 = lift * z2[todo, None] + r * n2
-            kv = eval_field(expr, z1[todo, None] + r * n1, p2)
-            bad = ~np.isfinite(kv).all(axis=1)
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise EvalDomainError(f"field is not finite on the disk boundary of center "
-                                      f"({z1[todo[i]]:.6g}, {z2[todo[i]]:.6g})")
-            scale = r / (p2**2 if curved else 1.0)
-            f = (kv - kv.mean(axis=1, keepdims=True)) * scale
-            terms = (f * n1, f * (lift * n2 + r1))
-            g = np.column_stack([t.sum(axis=1) for t in terms]) * (2.0 * np.pi / nb)
-            half = np.column_stack([t[:, ::2].sum(axis=1) for t in terms]) * (4.0 * np.pi / nb)
-            err = np.hypot(*(g - half).T)
-            noise = 4e-16 * (1.0 + lift + r1) * (2.0 * np.pi / nb) * np.abs(kv * scale).sum(axis=1)
-            ok = err <= np.maximum(0.1 * GRAD_TOL * np.maximum(1.0, np.hypot(*g.T)), noise)
-            grad[todo[ok]] = g[ok]
-            if nb >= 16 * NA_DEFAULT and not ok.all():
-                i = int(np.argmin(ok))
-                raise QuadratureFailure(
-                    f"gradient quadrature unresolved at center ({z1[todo[i]]:.6g}, "
-                    f"{z2[todo[i]]:.6g}): halving estimate {err[i]:.3e} with {nb} nodes"
-                )
-            todo, nb = todo[~ok], 2 * nb
+    def rule(z1, z2, nb, evaluate):
+        theta = 2.0 * np.pi * np.arange(nb) / nb
+        n1, n2, r = np.cos(theta), np.sin(theta), r0 + r1 * z2
+        p2 = lift * z2 + r * n2
+        kv = evaluate(z1 + r * n1, p2)
+        scale = r / (p2**2 if curved else 1.0)
+        f = (kv - kv.mean(axis=1, keepdims=True)) * scale
+        terms = (f * n1, f * (lift * n2 + r1))
+        g = np.column_stack([t.sum(axis=1) for t in terms]) * (2.0 * np.pi / nb)
+        half = np.column_stack([t[:, ::2].sum(axis=1) for t in terms]) * (4.0 * np.pi / nb)
+        noise = 4e-16 * (1.0 + lift + r1) * (2.0 * np.pi / nb) * np.abs(kv * scale).sum(axis=1)
+        return g, np.hypot(*(g - half).T), np.maximum(
+            0.1 * GRAD_TOL * np.maximum(1.0, np.hypot(*g.T)), noise)
+
+    grad = _per_center(z1, z2, as_field(field), np.empty((np.size(z1), 2)), rule,
+                       (2 * NA_DEFAULT, 16 * NA_DEFAULT, lambda nb: nb),
+                       ("on the disk boundary", "gradient quadrature unresolved"))
     return grad[:, 0], grad[:, 1]
 
 
@@ -192,12 +222,8 @@ class CriticalSearch:
 
 
 def _fd_jacobian(grad_fn, z, h):
-    cols = []
-    for axis in range(2):
-        dz = np.zeros(2)
-        dz[axis] = h
-        cols.append((grad_fn(z + dz) - grad_fn(z - dz)) / (2.0 * h))
-    jac = np.column_stack(cols)
+    jac = np.column_stack([(grad_fn(z + dz) - grad_fn(z - dz)) / (2.0 * h)
+                           for dz in h * np.eye(2)])
     return 0.5 * (jac + jac.T)
 
 
@@ -252,8 +278,7 @@ def _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value):
     |grad F|, is the rounding scale.
     """
     g1, g2, d1, d2, _ = scan
-    shape = g1.shape
-    gnorm = np.hypot(d1, d2).reshape(shape)
+    gnorm = np.hypot(d1, d2).reshape(g1.shape)
     vscale = max(1.0, abs(float(top_value)))
     # grad F is resolved only to the rounding of K, about 1e-16 |F|: Newton stops there
     tol = max(GRAD_TOL, 1e-14 * vscale)
@@ -264,13 +289,9 @@ def _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value):
         a, b = grad_grid_fn(np.array([z[0]]), np.array([z[1]]))
         return np.array([a[0], b[0]])
 
-    padded = np.pad(gnorm, 1, constant_values=np.inf)
-    neighborhood = np.ones(gnorm.shape, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == dj == 0:
-                continue
-            neighborhood &= gnorm <= padded[1 + di : 1 + di + shape[0], 1 + dj : 1 + dj + shape[1]]
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(gnorm, 1, constant_values=np.inf),
+                                                       (3, 3))
+    neighborhood = gnorm <= windows.min(axis=(2, 3))  # no smaller |grad F| among the 8 neighbors
 
     margin1, margin2 = 0.5 * (region.z1max - region.z1min), 0.5 * (region.z2max - region.z2min)
     bounds = ((region.z1min - margin1, region.z1max + margin1),

@@ -106,6 +106,22 @@ def interior_gradient(z1, z2, k, field, nr, na, curved=True):
     return np.array(out).T
 
 
+def disk_value(z1, z2, k, field, nr=512, na=1024):
+    """Oracle for F: the fixed nr x na Gauss-Legendre x uniform rule, one center at a time.
+
+    The hyperbolic disk as the fixed-domain integral of the module docstring
+    of ``hyploop.melnikov``; 512 x 1024 is far past the order any field here
+    needs.
+    """
+    q, w = disk_rule(nr, na)
+    rk = curvature_radius(k)
+    q, w, lift = q * rk, w * rk**2, k * rk
+    w = w / (q[:, 1] + lift) ** 2
+    expr = as_field(field)
+    return np.array([w @ eval_field(expr, a + q[:, 0] * b, (q[:, 1] + lift) * b)
+                     for a, b in zip(np.ravel(z1), np.ravel(z2))])
+
+
 def split_gauge_area(u, field, weights, geometry=HALFPLANE):
     """Oracle for the K-weighted area: the gauge split between both coordinates.
 

@@ -431,6 +431,18 @@ class TestEuclidCommands:
         assert code == 0, err
         assert json.loads(verified)["defects"] == json.loads(solved)["defects"]
 
+    def test_verify_takes_the_k_rule_of_the_sidecar_plane(self, capsys, tmp_path):
+        # a flat circle of curvature 0.5 verifies; a half-plane loop still needs k > 1
+        save_loop(tmp_path / "flat.csv", euclidean.reference_circle(0.5, 64),
+                  {"k": 0.5, "eps": 0.0, "field": None, "plane": "flat"})
+        code, out, err = run(capsys, "verify", "--in", str(tmp_path / "flat.csv"), "--k", "0.5")
+        assert code == 0, err
+        assert json.loads(out)["defects"]["curvature_defect"] < 1e-12
+        save_loop(tmp_path / "hyp.csv", reference_loop(2.0, 64), {"k": 2.0, "eps": 0.0})
+        code, out, err = run(capsys, "verify", "--in", str(tmp_path / "hyp.csv"), "--k", "0.5")
+        assert code == 3 and out == ""
+        assert "needs k >= 1 + 1e-05, got 0.5" in err
+
     def test_verify_accepts_a_flat_loop_below_the_axis(self, capsys, tmp_path):
         save_loop(tmp_path / "low.csv", euclidean.reference_circle(2.0, 64),  # about (0, 0)
                   {"k": 2.0, "eps": 0.0, "field": None, "plane": "flat"})
@@ -734,6 +746,15 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(at_import, len(builds), codes)
 """, cwd=tmp_path)
         assert proc.stdout == "0 1 [0, 0, 0]\n", proc.stderr
+
+    def test_import_builds_no_quadrature_rule(self, tmp_path):
+        # the disk rules are built on first use, so start-up pays for none of them
+        proc = run_process("-c", """
+import hyploop.cli
+from hyploop import _quad
+print([f.cache_info().currsize for f in (_quad.disk_rule, _quad._gl_nodes, _quad.nested_disk_rule)])
+""", cwd=tmp_path)
+        assert proc.stdout == "[0, 0, 0]\n", proc.stderr
 
     def test_cli_import_leaves_scipy_out(self, tmp_path):
         proc = run_process("-c", "import sys, hyploop.cli; print('scipy' in sys.modules)",

@@ -17,7 +17,7 @@ from hyploop.melnikov import (
     melnikov_value,
 )
 
-from conftest import TEST_FIELDS, interior_gradient
+from conftest import TEST_FIELDS, disk_value, interior_gradient
 
 QUADRATIC = parse_field("z1^2 + (z2-2)^2")
 
@@ -88,9 +88,9 @@ class TestValue:
             assert lhs == pytest.approx(rhs, abs=1e-8)
 
     def test_quadrature_refinement_stable(self):
-        a = melnikov_grid([0.2], [1.5], 2.0, QUADRATIC, 64, 128)
-        b = melnikov_grid([0.2], [1.5], 2.0, QUADRATIC, 128, 256)
-        assert abs(a - b)[0] < 1e-10
+        # the self-checked rule against the fixed 512 x 1024 rule
+        got = melnikov_grid([0.2], [1.5], 2.0, QUADRATIC)
+        assert abs(got - disk_value([0.2], [1.5], 2.0, QUADRATIC))[0] < 1e-10
 
 
 class TestGradient:
@@ -141,7 +141,7 @@ TRANSCENDENTAL = "exp(-z1^2)*sin(z2) + tanh(z1*z2)"
 
 
 def count_points(monkeypatch) -> list:
-    """Record the shape of every field evaluation the gradient kernel makes."""
+    """Record the shape of every field evaluation the value and gradient kernels make."""
     shapes = []
 
     def counted(expr, z1, z2, _fn=melnikov.eval_field):
@@ -228,6 +228,82 @@ class TestBoundaryGradient:
         assert shapes == [(3, 256)] * 3
         assert np.abs(shifted - want).max() < 1e-10
         assert np.abs(scaled - 1e3 * want).max() < 1e-10
+
+
+class TestValueRule:
+    """The self-checked disk average against the fixed-rule oracle, its cost and its failures."""
+
+    @pytest.mark.parametrize("text", [QUADRATIC, TRANSCENDENTAL])
+    @pytest.mark.parametrize("k", [1.2, 1.5, 2.0, 3.0])
+    def test_matches_refined_oracle(self, k, text):
+        g1, g2 = RegionBox(-0.6, 0.6, 1.2, 2.8).grid(3)
+        z1, z2 = np.append(g1.ravel(), -0.25), np.append(g2.ravel(), 3.0)
+        got, want = melnikov_grid(z1, z2, k, text), disk_value(z1, z2, k, text)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))), got - want
+
+    def test_the_old_fixed_rule_misses_near_k_1(self):
+        # at k = 1.2 the disk of (-0.25, 3) comes close to the complex poles of
+        # tanh(z1*z2): the former default 64 x 128 rule is off by 6.5e-5 there
+        old = disk_value([-0.25], [3.0], 1.2, TRANSCENDENTAL, 64, 128)
+        want = disk_value([-0.25], [3.0], 1.2, TRANSCENDENTAL)
+        assert abs(old - want)[0] > 1e-5
+        assert abs(melnikov_grid([-0.25], [3.0], 1.2, TRANSCENDENTAL) - want)[0] < 1e-13
+
+    @pytest.mark.parametrize("k", [2.0, 3.0])
+    def test_points_per_center(self, k, monkeypatch):
+        # the fixed rule took 64 x 128 = 8192 points per center
+        g1, g2 = RegionBox(-0.6, 0.6, 1.2, 2.8).grid(8)
+        shapes = count_points(monkeypatch)
+        melnikov_grid(g1.ravel(), g2.ravel(), k, QUADRATIC)
+        assert sum(np.prod(s) for s in shapes) <= 3000 * g1.size
+
+    def test_large_batches_are_split(self, monkeypatch):
+        # about 2**19 points per evaluation, never all centers of a large grid at once
+        g1, g2 = RegionBox(-0.6, 0.6, 1.2, 2.8).grid(30)
+        shapes = count_points(monkeypatch)
+        got = melnikov_grid(g1.ravel(), g2.ravel(), 2.0, QUADRATIC)
+        assert max(np.prod(s) for s in shapes) <= 2**19 < g1.size * 2048
+        assert np.array_equal(got, np.concatenate(
+            [melnikov_grid(a, b, 2.0, QUADRATIC) for a, b in zip(g1, g2)]))
+
+    def test_only_an_unresolved_center_refines(self, monkeypatch):
+        # the spike at z1 = 5 needs order 64; the center at 0 sees K = 0
+        text, z1, z2 = "exp(-1000*(z1-5)^2)", [0.0, 5.0], [1.5, 1.5]
+        shapes = count_points(monkeypatch)
+        both = melnikov_grid(z1, z2, 2.0, text)
+        assert shapes[0] == (2, 512) and all(s[0] == 1 for s in shapes[1:])
+        assert len(shapes) > 1
+        alone = [melnikov_grid([a], [b], 2.0, text)[0] for a, b in zip(z1, z2)]
+        assert np.array_equal(both, alone)
+
+    def test_batch_and_single_centers_agree_bitwise(self):
+        # the CSV's F and the one-center values of the search see the same numbers
+        g1, g2 = RegionBox(-0.6, 0.6, 1.2, 2.8).grid(5)
+        z1, z2 = g1.ravel(), g2.ravel()
+        batch = melnikov_grid(z1, z2, 2.0, TRANSCENDENTAL)
+        single = [melnikov_grid([a], [b], 2.0, TRANSCENDENTAL)[0] for a, b in zip(z1, z2)]
+        assert np.array_equal(batch, single)
+
+    def test_kink_fails_at_the_cap_naming_the_center(self, monkeypatch):
+        shapes = count_points(monkeypatch)
+        with pytest.raises(QuadratureFailure,
+                           match=r"did not stabilize at center \(0.3, 2\): halving estimate"):
+            melnikov_grid([0.3], [2.0], 2.0, "abs(z1 - 0.3) + (z2-2)^2")
+        assert shapes == [(1, 2 * n * n) for n in (16, 32, 64, 128, 256, 512)]
+
+    def test_non_finite_field_names_the_first_such_center(self, monkeypatch):
+        # exp(400*p2) overflows inside the disk of (0, 2), not inside that of (0, 1)
+        shapes = count_points(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EvalDomainError, match=r"inside the disk of center \(0, 2\)$"):
+                melnikov_grid([0.0, 0.0], [1.0, 2.0], 2.0, "exp(400*z2) - exp(400*z2)")
+        assert shapes == [(2, 512)]  # no refinement
+
+    def test_large_offset_is_resolved_to_its_rounding(self):
+        # a field of size 1e8 whose average cancels: the gap is below the rounding of K
+        got = melnikov_grid([0.0, 0.1], [1.5, 1.5], 2.0, "1e8*z1")
+        want = disk_value([0.0, 0.1], [1.5, 1.5], 2.0, "1e8*z1")
+        assert np.all(np.abs(got - want) < 1e-6)
 
 
 class TestCriticalSearch:
