@@ -141,12 +141,12 @@ def _center(value, key, flag, euclid):
     return z
 
 
+def _number(value, key, flag, euclid) -> float:
+    return _parse_floats(value, 1, flag)[0]
+
+
 def _curvature(value, key, flag, euclid) -> float:
-    """k by the rule of its plane; None for ``euclid`` defers the rule (verify: the sidecar
-    names the plane)."""
     k = _parse_floats(value, 1, flag)[0]
-    if euclid is None:
-        return k
     if not euclid:
         try:
             curvature_radius(k)  # the half-plane bounds on k, stated once
@@ -193,7 +193,7 @@ SETTINGS = (
     ("eps_list", "--eps-list", {"help": "comma-separated eps targets"}, _numbers(0), None),
     ("n_samples", "--n-samples", {"type": int}, _samples, 256),
     ("grid", "--grid", {"type": int}, _grid, 32),
-    ("eps", "--eps", {"type": float}, lambda v, key, flag, _: _parse_floats(v, 1, flag)[0], 0.0),
+    ("eps", "--eps", {"type": float}, _number, 0.0),
 )
 
 
@@ -214,6 +214,8 @@ def _build_config(args, euclid: bool = False) -> argparse.Namespace:
         loaded = {key: value for key, value in loaded.items() if value is not None}
     values = {}
     for key, flag, _, read, _ in SETTINGS:
+        if key == "k" and args.command == "verify":
+            read = _number  # _cmd_verify applies the rule of the plane the sidecar names
         given = getattr(args, key, None)  # a flag overrides the config file
         if given is not None or key in loaded:
             values[key] = read(loaded[key] if given is None else given, key, flag, euclid)
@@ -512,7 +514,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     euclid = args.command == "euclid"
     try:
-        cfg = _build_config(args, euclid=None if args.command == "verify" else euclid)
+        cfg = _build_config(args, euclid=euclid)
         handler = COMMANDS[args.euclid_command if euclid else args.command][0]
         # overflow and NaN reach the user as one error line, not as numpy warnings:
         # the NaN checks of the correction solve and the quadratures still fire

@@ -287,13 +287,23 @@ def kernel_report(k: float, n: int = 256) -> KernelReport:
                 a1, b1, a2, b2 = vec
                 cos_m = np.cos(block.n * theta)
                 sin_m = np.sin(block.n * theta)
-                fields.append(np.column_stack((2.0 * (a1 * cos_m - b1 * sin_m),
-                                               2.0 * (a2 * cos_m - b2 * sin_m))))
+                fields.append(
+                    np.column_stack(
+                        (2.0 * (a1 * cos_m - b1 * sin_m), 2.0 * (a2 * cos_m - b2 * sin_m))
+                    )
+                )
     basis = np.stack(fields) if fields else np.zeros((0, n, 2))
     analytic = kernel_basis(k, n)
     angle = float(_principal_angles(basis, analytic).max()) if len(fields) == 3 else np.inf
-    return KernelReport(k=k, n=n, dimension=len(fields), sigma_min_nonzero=float(smallest_nonzero),
-                        per_mode=tuple(per_mode), basis=basis, max_principal_angle=angle)
+    return KernelReport(
+        k=k,
+        n=n,
+        dimension=len(fields),
+        sigma_min_nonzero=float(smallest_nonzero),
+        per_mode=tuple(per_mode),
+        basis=basis,
+        max_principal_angle=angle,
+    )
 
 
 # ---------------------------------------------------------------------------

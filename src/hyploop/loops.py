@@ -193,7 +193,7 @@ def signed_area(u: Loop, field, geometry: Geometry = HALFPLANE) -> float:
     Q_K = (h(z2)**-2 * integral_0^z1 K(t, z2) dt, 0), with h(t) = t in the
     half-plane and h = 1 in the plane, is a divergence-matched gauge; its
     one integral per sample is evaluated to absolute tolerance 1e-12 by
-    adaptive Gauss-Legendre.  On half-plane loops that N samples
+    adaptive Gauss-Kronrod.  On half-plane loops that N samples
     under-resolve (k <= 1.5) this gauge is more accurate than splitting
     the integral between the two coordinates.
     """
@@ -336,8 +336,12 @@ def _all_pairs_simple(pts: np.ndarray) -> bool:
         d3 = cross(s - r, p - r)
         d4 = cross(s - r, q - r)
         hit = (d1 * d2 <= 0.0) & (d3 * d4 <= 0.0)
-        boxes = ((np.maximum(p, q) >= np.minimum(r, s))
-                 & (np.maximum(r, s) >= np.minimum(p, q))).all(axis=-1)
+        boxes = (
+            (np.maximum(p[..., 0], q[..., 0]) >= np.minimum(r[..., 0], s[..., 0]))
+            & (np.maximum(r[..., 0], s[..., 0]) >= np.minimum(p[..., 0], q[..., 0]))
+            & (np.maximum(p[..., 1], q[..., 1]) >= np.minimum(r[..., 1], s[..., 1]))
+            & (np.maximum(r[..., 1], s[..., 1]) >= np.minimum(p[..., 1], q[..., 1]))
+        )
         if np.any(hit & boxes & ~adjacent):
             return False
     return True
@@ -399,8 +403,15 @@ def verify_solution(u: Loop, k: float, eps: float = 0.0, field=None,
             length=length,
         )
     except DegenerateLoop:
-        return VerifyReport(residual_sup=np.inf, speed_defect=np.inf, curvature_defect=np.inf,
-                            killing=np.full(3, np.inf), mu=0, embedded=False, length=0.0)
+        return VerifyReport(
+            residual_sup=np.inf,
+            speed_defect=np.inf,
+            curvature_defect=np.inf,
+            killing=np.full(3, np.inf),
+            mu=0,
+            embedded=False,
+            length=0.0,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ is a Euclidean disk, so F reduces to a fixed-domain integral
 taken per center by Clenshaw-Curtis in the radius (n nodes, from 16) times
 the trapezoid rule on 2n angles.  The n/2 x n rule on its even nodes gives
 the error estimate from the same points; a center whose estimate exceeds
-both 1e-10 max(1, |F|) and the rounding of K doubles n alone, up to 512,
-then raises QuadratureFailure.  By Reynolds' rule for the moving disk,
-grad F is a periodic integral of K over its boundary circle, taken by a
-trapezoid rule that checks itself per center in the same way; no
-derivative of K is needed.  The critical-point search (grid
+both 1e-10 max(1, |F|) and the rounding of K doubles n alone, keeping the
+K values it has, up to 512, then raises QuadratureFailure.  By Reynolds'
+rule for the moving disk, grad F is a periodic integral of K over its
+boundary circle, taken by a trapezoid rule that checks itself per center
+in the same way; no derivative of K is needed.  The critical-point search (grid
 scan + Newton refinement + Hessian classification) works from grad F and
 evaluates F only at the node of largest |grad F|, for its rounding scale,
 and at each point it reports.  ``find_critical`` adds F at every node, the
@@ -59,7 +59,7 @@ def melnikov_grid(z1, z2, k: float, field):
 
     def rule(z1, z2, n, evaluate):
         q1, q2, fine, coarse_nodes, coarse = nested_disk_rule(n)
-        kv = evaluate(z1 + z2 * (rk * q1), z2 * (rk * q2 + k * rk))
+        kv = evaluate(z1 + z2 * (rk * q1), z2 * (rk * q2 + k * rk), coarse_nodes)
         scale = (rk / (rk * q2 + k * rk)) ** 2  # the hyperbolic area element
         w, wc = (fine * scale)[:, None], (coarse * scale[coarse_nodes])[:, None]
         # one dot product per center: the same bits for a center alone or in a batch
@@ -102,29 +102,39 @@ def _per_center(z1, z2, expr, out, rule, orders, words):
     """Fill ``out`` by a rule that checks itself per center; a center it misses refines alone.
 
     ``rule(z1, z2, n, evaluate)`` takes a column of centers, gets K from
-    ``evaluate`` at its order-n points and returns their results, the gap to
-    its nested coarse rule and its tolerance.  ``orders``: the first order,
-    the cap and K points per center at order n.  A center past its tolerance
-    is redone on order 2n; past the cap it raises QuadratureFailure, and a
-    non-finite K EvalDomainError (``words`` name both).
+    ``evaluate(p1, p2, nested)`` at its order-n points, of which the columns
+    ``nested`` are the order-n/2 points, and returns their results, the gap
+    to its nested coarse rule and its tolerance.  ``orders``: the first
+    order, the cap and K points per center at order n.  A center past its
+    tolerance is redone on order 2n, which evaluates K only at its new
+    points; past the cap it raises QuadratureFailure, and a non-finite K
+    EvalDomainError (``words`` name both).
     """
     z1, z2 = np.asarray(z1, dtype=float).ravel(), np.asarray(z2, dtype=float).ravel()
     (n, cap, size), todo = orders, np.arange(z1.size)
+    known = np.empty((z1.size, 0))  # K at the last order's points of the centers todo
 
     def center(i):
         return f"center ({z1[i]:.6g}, {z2[i]:.6g})"
 
-    def evaluate(p1, p2):  # K at the points of the centers idx, one row each
-        kv = eval_field(expr, p1, p2)
+    def evaluate(p1, p2, nested):  # K at the points of the centers idx; old has the columns nested
+        if not old.shape[1]:
+            kv = eval_field(expr, p1, p2)
+        else:
+            kv, new = np.empty(p1.shape), np.ones(p1.shape[1], dtype=bool)
+            kv[:, nested], new[nested] = old, False
+            kv[:, new] = eval_field(expr, p1[:, new], p2[:, new])
         bad = ~np.isfinite(kv).all(axis=1)
         if bad.any():
             raise EvalDomainError(f"field is not finite {words[0]} of "
                                   f"{center(idx[np.argmax(bad)])}")
+        kept.append(kv)
         return kv
 
     while todo.size:
-        left = []
-        for idx in np.array_split(todo, -(-todo.size * size(n) // 2**19)):  # 4 MB arrays
+        left, kept, step = [], [], max(1, 2**19 // size(n))  # about 4 MB arrays
+        for start in range(0, todo.size, step):
+            idx, old = todo[start : start + step], known[start : start + step]
             rows, err, tol = rule(z1[idx, None], z2[idx, None], n, evaluate)
             ok = err <= tol
             out[idx[ok]] = rows[ok]
@@ -133,7 +143,8 @@ def _per_center(z1, z2, expr, out, rule, orders, words):
                 raise QuadratureFailure(f"{words[1]} at {center(idx[j])}: halving estimate "
                                         f"{err[j]:.3e} with {size(n)} points")
             left.append(idx[~ok])
-        todo, n = np.concatenate(left), 2 * n
+            kept[-1] = kept[-1][~ok]
+        todo, known, n = np.concatenate(left), np.concatenate(kept), 2 * n
     return out
 
 
@@ -150,7 +161,7 @@ def _boundary_gradient(z1, z2, field, lift, r0, r1, curved):
         theta = 2.0 * np.pi * np.arange(nb) / nb
         n1, n2, r = np.cos(theta), np.sin(theta), r0 + r1 * z2
         p2 = lift * z2 + r * n2
-        kv = evaluate(z1 + r * n1, p2)
+        kv = evaluate(z1 + r * n1, p2, slice(None, None, 2))
         scale = r / (p2**2 if curved else 1.0)
         f = (kv - kv.mean(axis=1, keepdims=True)) * scale
         terms = (f * n1, f * (lift * n2 + r1))
@@ -222,8 +233,12 @@ class CriticalSearch:
 
 
 def _fd_jacobian(grad_fn, z, h):
-    jac = np.column_stack([(grad_fn(z + dz) - grad_fn(z - dz)) / (2.0 * h)
-                           for dz in h * np.eye(2)])
+    cols = []
+    for axis in range(2):
+        dz = np.zeros(2)
+        dz[axis] = h
+        cols.append((grad_fn(z + dz) - grad_fn(z - dz)) / (2.0 * h))
+    jac = np.column_stack(cols)
     return 0.5 * (jac + jac.T)
 
 
@@ -278,7 +293,8 @@ def _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value):
     |grad F|, is the rounding scale.
     """
     g1, g2, d1, d2, _ = scan
-    gnorm = np.hypot(d1, d2).reshape(g1.shape)
+    shape = g1.shape
+    gnorm = np.hypot(d1, d2).reshape(shape)
     vscale = max(1.0, abs(float(top_value)))
     # grad F is resolved only to the rounding of K, about 1e-16 |F|: Newton stops there
     tol = max(GRAD_TOL, 1e-14 * vscale)
@@ -289,9 +305,13 @@ def _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value):
         a, b = grad_grid_fn(np.array([z[0]]), np.array([z[1]]))
         return np.array([a[0], b[0]])
 
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(gnorm, 1, constant_values=np.inf),
-                                                       (3, 3))
-    neighborhood = gnorm <= windows.min(axis=(2, 3))  # no smaller |grad F| among the 8 neighbors
+    padded = np.pad(gnorm, 1, constant_values=np.inf)
+    neighborhood = np.ones(gnorm.shape, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == dj == 0:
+                continue
+            neighborhood &= gnorm <= padded[1 + di : 1 + di + shape[0], 1 + dj : 1 + dj + shape[1]]
 
     margin1, margin2 = 0.5 * (region.z1max - region.z1min), 0.5 * (region.z2max - region.z2min)
     bounds = ((region.z1min - margin1, region.z1max + margin1),

@@ -196,9 +196,17 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
         iterations += 1
 
     return ReductionState(
-        eps=float(eps), z=(float(zp[0]), float(zp[1])), k=problem.k, eta=eta, t=float(t),
-        theta=theta, residual_sup=float(supF), constraint_res=cons, loop=u,
-        length=problem.length(u), iterations=iterations,
+        eps=float(eps),
+        z=(float(zp[0]), float(zp[1])),
+        k=problem.k,
+        eta=eta,
+        t=float(t),
+        theta=theta,
+        residual_sup=float(supF),
+        constraint_res=cons,
+        loop=u,
+        length=problem.length(u),
+        iterations=iterations,
     )
 
 
@@ -218,7 +226,12 @@ def reduced_gradient_from_state(problem, state: ReductionState) -> np.ndarray:
     d1 E = theta1 / L,  d2 E = theta2 * mean|u_ref|^2 / L  (mean_sq = 1 in
     the plane); dual to the constraint normalization.
     """
-    return np.array([state.theta[0], state.theta[1] * problem.mean_sq]) / state.length
+    return np.array(
+        [
+            state.theta[0] / state.length,
+            state.theta[1] * problem.mean_sq / state.length,
+        ]
+    )
 
 
 def reduced_gradient(eps: float, z, k: float, field, n: int = 256,
@@ -279,15 +292,22 @@ def solve_generic(problem, eps: float, region, grid: int = 16,
     """
     if seed is None:
         seed = problem.melnikov_seed(region, grid)
-    z = np.array([seed.z1, seed.z2] if hasattr(seed, "z1") else seed, dtype=float)
+    if hasattr(seed, "z1"):
+        z = np.array([seed.z1, seed.z2], dtype=float)
+    else:
+        z = np.asarray(seed, dtype=float).copy()
     seed_tuple = (float(z[0]), float(z[1]))
     state = reduce_generic(problem, eps, z, warm=warm)
     for _ in range(30):
         if _multiplier_sup(problem, state) < FULL_RESIDUAL_TOL:
             break
         g = reduced_gradient_from_state(problem, state)
-        shifted = [reduce_generic(problem, eps, z + dz, warm=state) for dz in Z_STEP * np.eye(2)]
-        cols = [(reduced_gradient_from_state(problem, s) - g) / Z_STEP for s in shifted]
+        cols = []
+        for axis in range(2):
+            dz = np.zeros(2)
+            dz[axis] = Z_STEP
+            shifted = reduce_generic(problem, eps, z + dz, warm=state)
+            cols.append((reduced_gradient_from_state(problem, shifted) - g) / Z_STEP)
         try:
             step = np.linalg.solve(np.column_stack(cols), -g)
         except np.linalg.LinAlgError:
@@ -316,10 +336,17 @@ def _finalize(problem, state, eps, z, seed_tuple) -> SolveReport:
     defects = problem.verify(state.loop, eps)
     base = problem.base_loop(z)
     report = SolveReport(
-        loop=state.loop, eps=float(eps), k=problem.k, z_critical=(float(z[0]), float(z[1])),
-        mu=defects.mu, embedded=defects.embedded, defects=defects,
-        c0_dist=c0_distance(state.loop, base), c2_dist=c2_distance(state.loop, base),
-        state=state, melnikov_seed=seed_tuple,
+        loop=state.loop,
+        eps=float(eps),
+        k=problem.k,
+        z_critical=(float(z[0]), float(z[1])),
+        mu=defects.mu,
+        embedded=defects.embedded,
+        defects=defects,
+        c0_dist=c0_distance(state.loop, base),
+        c2_dist=c2_distance(state.loop, base),
+        state=state,
+        melnikov_seed=seed_tuple,
     )
     if not defects.embedded:
         raise NotEmbedded("solved loop self-intersects", report=report)

@@ -133,7 +133,7 @@ def split_gauge_area(u, field, weights, geometry=HALFPLANE):
     where h(t) = t and b = 1 in the half-plane, h = 1 and b = 0 in the
     plane.  Any w1 + w2 = 1 gives a divergence-matched gauge, so the value
     does not depend on the split; each integral is taken to absolute
-    tolerance 1e-12 by adaptive Gauss-Legendre.
+    tolerance 1e-12 by adaptive Gauss-Kronrod.
     """
     h = geometry.height(u)
     expr = as_field(field)

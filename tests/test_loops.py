@@ -521,7 +521,8 @@ class TestAdaptiveQuadrature:
         assert val == pytest.approx(exact, abs=1e-12)
 
     def test_nan_integrand_raises_at_the_first_level(self):
-        # a NaN panel never meets its tolerance: bisecting it would double it per level
+        # a NaN panel never meets its tolerance: bisecting it would double it per level.
+        # One evaluation per level: the Gauss estimate reuses the Kronrod points
         from hyploop._quad import adaptive_gauss_legendre
         from hyploop.errors import QuadratureFailure
 
@@ -529,12 +530,12 @@ class TestAdaptiveQuadrature:
 
         def f(idx, t):
             calls.append(t.size)
-            assert len(calls) <= 2, "bisected a non-finite panel"
+            assert len(calls) <= 1, "bisected a non-finite panel"
             return np.where(t > 0.5, np.nan, t)
 
         with pytest.raises(QuadratureFailure, match="non-finite estimate on panel"):
             adaptive_gauss_legendre(f, np.array([0.0, 0.0]), np.array([0.25, 1.0]))
-        assert len(calls) == 2
+        assert calls == [42]
 
     def test_signed_area_of_a_field_nan_off_the_loop_raises(self):
         # K is finite on the loop but NaN on the segments from z1 = 0 that the gauge integrates
@@ -547,6 +548,32 @@ class TestAdaptiveQuadrature:
             assert np.isfinite(eval_field(field, u.samples[:, 0], u.samples[:, 1])).all()
             with pytest.raises(QuadratureFailure, match="non-finite"):
                 signed_area(u, field)
+
+    def test_kronrod_and_gauss_degrees(self):
+        # the 21-point Kronrod rule is exact to degree 31, its 10-point Gauss rule to 19
+        from hyploop._quad import _gk21
+
+        x, wk, wg = _gk21()
+        gap = [np.abs(np.array([w @ x**d for d in range(34)])
+                      - [(1 - (-1) ** (d + 1)) / (d + 1) for d in range(34)]) for w in (wk, wg)]
+        assert x.size == 21 and np.count_nonzero(wg) == 10
+        assert gap[0][:32].max() < 1e-15 < 1e-13 < gap[0][32]
+        assert gap[1][:20].max() < 1e-15 < 1e-7 < gap[1][20]
+
+    def test_a_polynomial_takes_one_panel_of_21_points(self):
+        # the error estimate costs no evaluation: one call, 21 points per interval
+        from hyploop._quad import adaptive_gauss_legendre
+
+        shapes = []
+
+        def f(idx, t):
+            shapes.append(t.shape)
+            return t**3 - 2.0 * t
+
+        hi = np.array([0.5, -1.0, 4.0])
+        vals = adaptive_gauss_legendre(f, np.zeros(3), hi)
+        assert shapes == [(3, 21)]
+        assert np.abs(vals - (hi**4 / 4.0 - hi**2)).max() < 1e-13
 
     def test_depth_exhaustion_raises(self):
         from hyploop._quad import adaptive_gauss_legendre
