@@ -120,22 +120,43 @@ def disk_rule(nr: int, na: int):
     return q, weights
 
 
+def _nested_values(rows, cols):
+    """rows[j] * cols[a] at the nodes (j, a) of order n = rows.size, in nested order.
+
+    Order 1 is j = 0 at a = 0 and n; order m is order m/2, then its new nodes by
+    pairs of radius rows: an even one at the odd angles, an odd one at all.
+    """
+    n = rows.size
+    out = np.empty(2 * n * n)
+    out[:2] = rows[0] * cols[::n]
+    m = 1
+    while m < n:
+        m *= 2
+        r, c = rows[:: n // m], cols[:: n // m]
+        pairs = out[m * m // 2: 2 * m * m].reshape(m // 2, 3 * m)
+        np.multiply(r[::2, None], c[1::2], out=pairs[:, :m])
+        np.multiply(r[1::2, None], c, out=pairs[:, m:])
+    return out
+
+
 @lru_cache(maxsize=8)
 def nested_disk_rule(n: int):
-    """Clenshaw-Curtis radius (n nodes; r = 0 has no weight) x 2n angles on the unit disk.
+    """Clenshaw-Curtis radius (n nodes; r = 0 has no weight) x 2n angles on the unit disk, nested.
 
-    Returns the nodes q1, q2 and weights, then the indices and weights of the
-    coarse rule, n/2 radii x n angles, on the even ones.  Scale as ``disk_rule``.
+    Returns the nodes q1, q2 and the weights of the order-n, n/2 and n/4
+    rules.  The nodes come in nested order: the first 2 (n/2)**2 are the
+    nodes of ``nested_disk_rule(n // 2)``, in its order, and so on down, so
+    the order-n/2 and n/4 weights are those of the leading blocks.  Scale as
+    ``disk_rule``.
     """
-    def radii(m):  # r_j = (1 + cos(j pi / m)) / 2, j < m, and r times its weight on [0, 1]
+    def radii(m):  # r_j = (1 + cos(j pi / m)) / 2, j < m, and pi/m times r_j times its weight
         j, i = np.arange(m), np.arange(1, m // 2 + 1)
         b = np.where(i == m // 2, 1.0, 2.0) / (4.0 * i**2 - 1.0)
         r = 0.5 * (1.0 + np.cos(np.pi * j / m))
-        w = (1.0 - b @ np.cos(2.0 * np.pi * np.outer(i, j) / m)) * np.where(j, 1.0, 0.5) / m
-        return r, r * w
+        w = (1.0 - b @ np.cos(2.0 * np.pi * j / m)[np.outer(i, j) % m]) * np.where(j, 1.0, 0.5) / m
+        return r, r * w * (np.pi / m)
 
     (r, w), phi = radii(n), np.pi * np.arange(2 * n) / n
-    coarse = np.arange(2 * n * n).reshape(n, 2 * n)[::2, ::2].ravel()
-    return (np.outer(r, np.cos(phi)).ravel(), np.outer(r, np.sin(phi)).ravel(),
-            np.repeat(w * (np.pi / n), 2 * n), coarse,
-            np.repeat(radii(n // 2)[1] * (2.0 * np.pi / n), n))
+    weights = (w, radii(n // 2)[1], radii(n // 4)[1])
+    return (_nested_values(r, np.cos(phi)), _nested_values(r, np.sin(phi)),
+            *(_nested_values(v, np.ones(2 * v.size)) for v in weights))

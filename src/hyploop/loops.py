@@ -190,10 +190,12 @@ def area_const(u: Loop, geometry: Geometry = HALFPLANE) -> float:
 def signed_area(u: Loop, field, geometry: Geometry = HALFPLANE) -> float:
     """K-weighted signed area A_K(u) = mean of Q_K(u) . (i u').
 
-    Q_K = (h(z2)**-2 * integral_0^z1 K(t, z2) dt, 0), with h(t) = t in the
+    Q_K = (h(z2)**-2 * integral_c^z1 K(t, z2) dt, 0), with h(t) = t in the
     half-plane and h = 1 in the plane, is a divergence-matched gauge; its
     one integral per sample is evaluated to absolute tolerance 1e-12 by
-    adaptive Gauss-Kronrod.  On half-plane loops that N samples
+    adaptive Gauss-Kronrod.  Any constant c gives the same A_K (the change
+    pairs with i u' to a loop integral of g(z2) dz2); c is the loop's mean
+    z1, so the segments stay short.  On half-plane loops that N samples
     under-resolve (k <= 1.5) this gauge is more accurate than splitting
     the integral between the two coordinates.
     """
@@ -202,7 +204,7 @@ def signed_area(u: Loop, field, geometry: Geometry = HALFPLANE) -> float:
     u1 = u.samples[:, 0]
     u2 = u.samples[:, 1]
     vals = adaptive_gauss_legendre(
-        lambda idx, t: eval_field(expr, t, u2[idx]), np.zeros_like(u1), u1
+        lambda idx, t: eval_field(expr, t, u2[idx]), np.full_like(u1, u1.mean()), u1
     )
     return float((vals / h**2 * rot90(u.deriv(1))[:, 0]).mean())
 

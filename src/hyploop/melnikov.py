@@ -12,13 +12,16 @@ is a Euclidean disk, so F reduces to a fixed-domain integral
     z^k = (z1, k*R_k*z2),
 
 taken per center by Clenshaw-Curtis in the radius (n nodes, from 16) times
-the trapezoid rule on 2n angles.  The n/2 x n rule on its even nodes gives
-the error estimate from the same points; a center whose estimate exceeds
-both 1e-10 max(1, |F|) and the rounding of K doubles n alone, keeping the
-K values it has, up to 512, then raises QuadratureFailure.  By Reynolds'
-rule for the moving disk, grad F is a periodic integral of K over its
-boundary circle, taken by a trapezoid rule that checks itself per center
-in the same way; no derivative of K is needed.  The critical-point search (grid
+the trapezoid rule on 2n angles, its nodes in nested order: those of the
+n/2 x n and n/4 x n/2 rules lead, so one array of K gives Q_n, Q_n/2 and
+Q_n/4.  With gap = |Q_n - Q_n/2| and prev = |Q_n/2 - Q_n/4|, a center is
+accepted when gap * sqrt(gap / prev) (the plain gap when prev is 0 or below
+gap) is at most 1e-10 max(1, |F|) or the rounding of K; any other center
+doubles n alone, evaluating K only at the new tail of its nodes, up to 512,
+then raises QuadratureFailure.  By Reynolds' rule for the moving disk,
+grad F is a periodic integral of K over its boundary circle, taken by a
+trapezoid rule whose even nodes lead and check it per center on their gap
+alone; no derivative of K is needed.  The critical-point search (grid
 scan + Newton refinement + Hessian classification) works from grad F and
 evaluates F only at the node of largest |grad F|, for its rounding scale,
 and at each point it reports.  ``find_critical`` adds F at every node, the
@@ -58,15 +61,17 @@ def melnikov_grid(z1, z2, k: float, field):
     rk = curvature_radius(k)
 
     def rule(z1, z2, n, evaluate):
-        q1, q2, fine, coarse_nodes, coarse = nested_disk_rule(n)
-        kv = evaluate(z1 + z2 * (rk * q1), z2 * (rk * q2 + k * rk), coarse_nodes)
+        q1, q2, *weights = nested_disk_rule(n)
+        kv = evaluate(lambda s: (z1 + z2 * (rk * q1[s]), z2 * (rk * q2[s] + k * rk)))
         scale = (rk / (rk * q2 + k * rk)) ** 2  # the hyperbolic area element
-        w, wc = (fine * scale)[:, None], (coarse * scale[coarse_nodes])[:, None]
         # one dot product per center: the same bits for a center alone or in a batch
-        value, size = ((v[:, None] @ w)[:, 0, 0] for v in (kv, abs(kv)))
-        gap = value - (kv[:, None, coarse_nodes] @ wc)[:, 0, 0]
-        return value, np.abs(gap), np.maximum(VALUE_RTOL * np.maximum(1.0, np.abs(value)),
-                                              4e-16 * size)
+        value, half, quarter = ((kv[:, None, : w.size] @ (w * scale[: w.size])[:, None])[:, 0, 0]
+                                for w in weights)
+        size = (abs(kv)[:, None] @ (weights[0] * scale)[:, None])[:, 0, 0]
+        gap, prev = np.abs(value - half), np.abs(half - quarter)
+        rate = np.divide(gap, prev, out=np.ones_like(gap), where=prev > gap)
+        return value, gap * np.sqrt(rate), np.maximum(
+            VALUE_RTOL * np.maximum(1.0, np.abs(value)), 4e-16 * size)
 
     return _per_center(z1, z2, as_field(field), np.empty(np.size(z1)), rule,
                        (VALUE_ORDER, 32 * VALUE_ORDER, lambda n: 2 * n * n),
@@ -101,14 +106,15 @@ def melnikov_gradient_grid(z1, z2, k: float, field):
 def _per_center(z1, z2, expr, out, rule, orders, words):
     """Fill ``out`` by a rule that checks itself per center; a center it misses refines alone.
 
-    ``rule(z1, z2, n, evaluate)`` takes a column of centers, gets K from
-    ``evaluate(p1, p2, nested)`` at its order-n points, of which the columns
-    ``nested`` are the order-n/2 points, and returns their results, the gap
-    to its nested coarse rule and its tolerance.  ``orders``: the first
+    ``rule(z1, z2, n, evaluate)`` takes a column of centers, gets K at its
+    order-n points from ``evaluate(points)``, where ``points(s)`` gives the
+    coordinates of the nodes ``s`` of its nested order, and returns their
+    results, its error estimate and its tolerance.  ``orders``: the first
     order, the cap and K points per center at order n.  A center past its
-    tolerance is redone on order 2n, which evaluates K only at its new
-    points; past the cap it raises QuadratureFailure, and a non-finite K
-    EvalDomainError (``words`` name both).
+    tolerance is redone on order 2n, whose leading points are those of order
+    n: K there is kept, and only the tail is evaluated.  Past the cap it
+    raises QuadratureFailure, and on a non-finite K EvalDomainError
+    (``words`` name both).
     """
     z1, z2 = np.asarray(z1, dtype=float).ravel(), np.asarray(z2, dtype=float).ravel()
     (n, cap, size), todo = orders, np.arange(z1.size)
@@ -117,19 +123,14 @@ def _per_center(z1, z2, expr, out, rule, orders, words):
     def center(i):
         return f"center ({z1[i]:.6g}, {z2[i]:.6g})"
 
-    def evaluate(p1, p2, nested):  # K at the points of the centers idx; old has the columns nested
-        if not old.shape[1]:
-            kv = eval_field(expr, p1, p2)
-        else:
-            kv, new = np.empty(p1.shape), np.ones(p1.shape[1], dtype=bool)
-            kv[:, nested], new[nested] = old, False
-            kv[:, new] = eval_field(expr, p1[:, new], p2[:, new])
+    def evaluate(points):  # K at the points of the centers idx, of which old is the leading block
+        kv = eval_field(expr, *points(slice(old.shape[1], None)))
         bad = ~np.isfinite(kv).all(axis=1)
         if bad.any():
             raise EvalDomainError(f"field is not finite {words[0]} of "
                                   f"{center(idx[np.argmax(bad)])}")
-        kept.append(kv)
-        return kv
+        kept.append(np.concatenate((old, kv), axis=1))
+        return kept[-1]
 
     while todo.size:
         left, kept, step = [], [], max(1, 2**19 // size(n))  # about 4 MB arrays
@@ -154,19 +155,23 @@ def _boundary_gradient(z1, z2, field, lift, r0, r1, curved):
     By Reynolds' rule grad F is the integral of K(p) (nu1, lift*nu2 + r1) r dphi
     over p = center + r*nu, times p2**-2 if ``curved``.  A constant K gives 0,
     so each center's mean of K is taken off first.  The trapezoid sum on nb
-    nodes is checked against the nb/2 sum on its even nodes to 0.1*GRAD_TOL
-    max(1, |grad F|) or the rounding of K, from 2*NA_DEFAULT up to 16*NA_DEFAULT.
+    nodes is checked against the nb/2 sum on its even nodes, which lead in
+    its node order, to 0.1*GRAD_TOL max(1, |grad F|) or the rounding of K,
+    from 2*NA_DEFAULT up to 16*NA_DEFAULT.
     """
     def rule(z1, z2, nb, evaluate):
-        theta = 2.0 * np.pi * np.arange(nb) / nb
+        m = np.arange(NA_DEFAULT)  # node indices in nested order: the even ones lead
+        while m.size < nb:
+            m = np.concatenate((2 * m, np.arange(1, 2 * m.size, 2)))
+        theta = 2.0 * np.pi * m / nb
         n1, n2, r = np.cos(theta), np.sin(theta), r0 + r1 * z2
+        kv = evaluate(lambda s: (z1 + r * n1[s], lift * z2 + r * n2[s]))
         p2 = lift * z2 + r * n2
-        kv = evaluate(z1 + r * n1, p2, slice(None, None, 2))
         scale = r / (p2**2 if curved else 1.0)
         f = (kv - kv.mean(axis=1, keepdims=True)) * scale
         terms = (f * n1, f * (lift * n2 + r1))
         g = np.column_stack([t.sum(axis=1) for t in terms]) * (2.0 * np.pi / nb)
-        half = np.column_stack([t[:, ::2].sum(axis=1) for t in terms]) * (4.0 * np.pi / nb)
+        half = np.column_stack([t[:, : nb // 2].sum(axis=1) for t in terms]) * (4.0 * np.pi / nb)
         noise = 4e-16 * (1.0 + lift + r1) * (2.0 * np.pi / nb) * np.abs(kv * scale).sum(axis=1)
         return g, np.hypot(*(g - half).T), np.maximum(
             0.1 * GRAD_TOL * np.maximum(1.0, np.hypot(*g.T)), noise)

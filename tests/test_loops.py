@@ -219,6 +219,24 @@ class TestSignedArea:
         assert abs(signed_area(loop(256), text) - ref) < 5e-9
         assert len(calls) == 1
 
+    def test_far_loop_pays_no_segment_to_the_axis(self, monkeypatch):
+        # each sample integrates from the loop's mean z1, not from z1 = 0:
+        # the same integral, without segments of length 4
+        text = "exp(-z1^2)*sin(z2) + tanh(z1*z2)"
+        u = translate((4.0, 2.0), reference_loop(2.0, 256))
+        points = []
+
+        def counted(expr, z1, z2, _fn=loops.eval_field):
+            points.append(np.size(z1))
+            return _fn(expr, z1, z2)
+
+        monkeypatch.setattr(loops, "eval_field", counted)
+        got = signed_area(u, text)
+        assert sum(points) <= 8000  # 31,290 from z1 = 0
+        monkeypatch.undo()
+        base = split_gauge_area(u, text, (1.0, 0.0))  # the gauge from z1 = 0
+        assert abs(got - base) <= 1e-14 * abs(base)
+
     def test_shrinking_circles(self):
         # enclosed weighted area vanishes with the loop
         theta = 2 * np.pi * np.arange(64) / 64
@@ -538,11 +556,12 @@ class TestAdaptiveQuadrature:
         assert calls == [42]
 
     def test_signed_area_of_a_field_nan_off_the_loop_raises(self):
-        # K is finite on the loop but NaN on the segments from z1 = 0 that the gauge integrates
+        # K is finite on the loop but NaN on the segments from its mean z1 that
+        # the gauge integrates: inside a small disk about (4, 2.3), in the loop
         from hyploop.errors import QuadratureFailure
 
         u = translate((4.0, 2.0), reference_loop(2.0, 256))
-        band = "exp(1e4*(z1-1)*(2-z1))"
+        band = "exp(1e4*(0.09 - (z1-4)^2 - (z2-2.3)^2))"
         field = parse_field(f"z1^2 + (z2-2)^2 + {band} - {band}")
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isfinite(eval_field(field, u.samples[:, 0], u.samples[:, 1])).all()

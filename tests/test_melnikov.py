@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from hyploop import euclidean, melnikov
+from hyploop import _quad, euclidean, melnikov
 from hyploop.errors import EvalDomainError, NoCritical, QuadratureFailure
 from hyploop.euclidean import FLAT, melnikov_gradient_grid_euclid
-from hyploop.fields import RegionBox, parse_field
+from hyploop.fields import RegionBox, eval_field, parse_field
 from hyploop.halfplane import HALFPLANE, translate
 from hyploop.loops import curvature_radius, reference_loop, signed_area
 from hyploop.melnikov import (
@@ -138,6 +138,8 @@ class TestGradient:
 PLANES = {"halfplane": (melnikov_gradient_grid, True),
           "flat": (melnikov_gradient_grid_euclid, False)}
 TRANSCENDENTAL = "exp(-z1^2)*sin(z2) + tanh(z1*z2)"
+ACCURACY_FIELDS = TEST_FIELDS + [TRANSCENDENTAL, "exp(-10*(z1^2+(z2-2)^2))", "1/(1+z1^2)",
+                                 "sin(3*z1)*cos(2*z2)", "tanh(5*z1)"]
 
 
 def count_points(monkeypatch) -> list:
@@ -250,13 +252,56 @@ class TestValueRule:
         assert abs(old - want)[0] > 1e-5
         assert abs(melnikov_grid([-0.25], [3.0], 1.2, TRANSCENDENTAL) - want)[0] < 1e-13
 
+    @pytest.mark.parametrize("k", [1.2, 1.5, 2.0, 3.0])
+    def test_fourteen_fields_within_tolerance(self, k):
+        # the rate-aware estimate accepts no value off by more than the tolerance
+        rng = np.random.default_rng(2101)
+        z1, z2 = rng.uniform(-0.6, 0.6, 4), rng.uniform(1.2, 2.8, 4)
+        for text in ACCURACY_FIELDS:
+            got, want = melnikov_grid(z1, z2, k, text), disk_value(z1, z2, k, text)
+            assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want))), text
+
+    def test_steep_bump_on_the_disk_edge(self):
+        # the first order's n/4 level (4 radii x 8 angles) misses the bump, so
+        # its gap to n/2 says nothing of the rate: the rule must not trust it
+        k, rk = 1.2, curvature_radius(1.2)
+        q1, q2, _, _, quarter = _quad.nested_disk_rule(16)
+        q1, q2 = q1[: quarter.size], q2[: quarter.size] + k
+        for angle in np.arange(8) * np.pi / 4 + 0.1:
+            b1, b2 = 2.0 * rk * np.cos(angle), 2.0 * rk * (np.sin(angle) + k)
+            text = f"exp(-100*((z1-{b1:.4f})^2 + (z2-{b2:.4f})^2))"
+            want = disk_value([0.0], [2.0], k, text)[0]
+            first = quarter / q2**2 @ eval_field(parse_field(text), 2.0 * rk * q1, 2.0 * rk * q2)
+            assert abs(first - want) > 0.9 * want
+            assert abs(melnikov_grid([0.0], [2.0], k, text)[0] - want) <= 1e-10, text
+
     @pytest.mark.parametrize("k", [2.0, 3.0])
     def test_points_per_center(self, k, monkeypatch):
         # the fixed rule took 64 x 128 = 8192 points per center
         g1, g2 = RegionBox(-0.6, 0.6, 1.2, 2.8).grid(8)
         shapes = count_points(monkeypatch)
         melnikov_grid(g1.ravel(), g2.ravel(), k, QUADRATIC)
-        assert sum(np.prod(s) for s in shapes) <= 3000 * g1.size
+        assert sum(np.prod(s) for s in shapes) <= 2048 * g1.size
+
+    @pytest.mark.parametrize("text, k, budget", [(TRANSCENDENTAL, 2.0, 8192), (QUADRATIC, 2.5, 512)])
+    def test_landscape_points_per_center(self, text, k, budget, monkeypatch):
+        # accepted on the rate of three nested levels, not on the gap of the
+        # coarse half: 12,734 and 2,048 points per center when it was
+        g1, g2 = RegionBox(-0.6, 0.6, 1.2, 2.8).grid(32)
+        shapes = count_points(monkeypatch)
+        melnikov_grid(g1.ravel(), g2.ravel(), k, text)
+        assert sum(np.prod(s) for s in shapes) <= budget * g1.size
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
+    def test_rule_nodes_are_nested(self, n):
+        # K at the order-n/2 points is the leading block of K at order n
+        q1, q2, fine, half, quarter = _quad.nested_disk_rule(n)
+        c1, c2, *coarse = _quad.nested_disk_rule(n // 2)
+        assert np.array_equal(q1[: c1.size], c1) and np.array_equal(q2[: c2.size], c2)
+        assert np.array_equal(half, coarse[0]) and np.array_equal(quarter, coarse[1])
+        assert fine.size == 2 * n * n and half.size == n * n // 2 and quarter.size == n * n // 8
+        for w in (fine, half, quarter):  # each level integrates q1**2 over the unit disk
+            assert w @ q1[: w.size] ** 2 == pytest.approx(np.pi / 4, rel=1e-14)
 
     def test_large_batches_are_split(self, monkeypatch):
         # about 2**19 points per evaluation, never all centers of a large grid at once
