@@ -4,15 +4,15 @@
 Everything that happens in the half-plane has a simpler Euclidean shadow:
 circles of radius 1/k, a plain disk integral for the reduced landscape,
 and a linearization that diagonalizes over complex Fourier modes.  Running
-the same reduction machinery through flat-plane callbacks double-checks
-the pipeline logic wherever the hyperbolic answers are harder to see.
+the same landscape search (``find_critical`` with ``geometry=FLAT``) and
+the same reduction machinery on the flat record double-checks the
+pipeline logic wherever the hyperbolic answers are harder to see.
 """
 
 import numpy as np
 
 from hyploop.euclidean import (
     FLAT,
-    find_critical_euclid,
     kernel_basis_euclid,
     apply_linearization_euclid,
     reference_circle,
@@ -20,7 +20,7 @@ from hyploop.euclidean import (
 )
 from hyploop.fields import PlaneBox
 from hyploop.loops import residual
-from hyploop.melnikov import melnikov_value
+from hyploop.melnikov import find_critical, melnikov_value
 
 k = 2.0
 field = "z1^2 + (z2-2)^2"
@@ -41,7 +41,7 @@ for name, f in zip(("tangent", "e1", "e2"), kernel_basis_euclid(k, 256)):
 
 print("\n== critical point of the flat landscape ==")
 box = PlaneBox(-0.6, 0.6, 1.4, 2.6)
-search = find_critical_euclid(k, field, box, grid=12)
+search = find_critical(k, field, box, grid=12, geometry=FLAT)
 p = search.points[0]
 print(f"z = ({p.z[0]:.2e}, {p.z[1]:.12f})  {p.classification}")
 print("(for the flat disk the quadratic field's average is exactly")

@@ -22,12 +22,6 @@ _G10_W = (0.06667134430868814, 0.1494513491505806, 0.21908636251598204, 0.269266
           0.29552422471475287)
 
 
-@lru_cache(maxsize=32)
-def _gl_nodes(order: int):
-    x, w = leggauss(order)
-    return x, w
-
-
 @lru_cache(maxsize=1)
 def _gk21():
     """Nodes on [-1, 1], Kronrod weights, and Gauss weights (0 off the Gauss nodes)."""
@@ -108,7 +102,7 @@ def disk_rule(nr: int, na: int):
     polynomials of radial degree < 2*nr and trigonometric degree < na.
     Scale nodes by R and weights by R**2 for a disk of radius R.
     """
-    x, w = _gl_nodes(nr)
+    x, w = leggauss(nr)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w
     ang = 2.0 * np.pi * np.arange(na) / na

@@ -264,8 +264,8 @@ def _cmd_melnikov(cfg, euclid: bool = False) -> int:
         raise ConfigError("--box is required for melnikov")
     expr = _parsed_field(cfg)
     out = _output(cfg.out or "melnikov.csv")
-    find = euclidean.find_critical_euclid if euclid else melnikov.find_critical
-    search = find(cfg.k, expr, cfg.box, cfg.grid)
+    search = melnikov.find_critical(cfg.k, expr, cfg.box, cfg.grid,
+                                    euclidean.FLAT if euclid else HALFPLANE)
     with Path(out).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["z1", "z2", "F", "dF1", "dF2"])

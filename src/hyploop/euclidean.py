@@ -22,7 +22,7 @@ from .fields import RegionBox, as_field, eval_field
 from .halfplane import Geometry, rot90
 from .linearized import bordered_solve, denoise_spectrum, tangent_projection
 from .loops import Loop, energy
-from .melnikov import NA_DEFAULT, NR_DEFAULT, CriticalSearch, _boundary_gradient, find_critical
+from .melnikov import NA_DEFAULT, NR_DEFAULT, _boundary_gradient
 from .reduction import ProblemBase, SolveReport, solve_generic
 
 
@@ -127,11 +127,6 @@ FLAT = Geometry(
     disk=(lambda *args: melnikov_grid_euclid(*args),
           lambda *args: melnikov_gradient_grid_euclid(*args)),
 )
-
-
-def find_critical_euclid(k: float, field, region: RegionBox, grid: int = 32) -> CriticalSearch:
-    """Critical points of the flat disk average over a region box."""
-    return find_critical(k, field, region, grid, geometry=FLAT)
 
 
 # ---------------------------------------------------------------------------

@@ -222,14 +222,13 @@ def _div(a, b):
 _NUMPY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
           "^": np.power, "neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
           "log": np.log, "tanh": np.tanh, "atan": np.arctan, "sqrt": np.sqrt, "abs": np.abs}
-# domain checks: the test on the operands that fails, the error, its message
+# domain checks (EvalDomainError): the test on the operands that fails, its message
 _CHECKS = {
-    "log": (lambda v: v <= 0.0, EvalDomainError, "log of non-positive value in {!r}"),
-    "sqrt": (lambda v: v < 0.0, EvalDomainError, "sqrt of negative value in {!r}"),
-    "/": (lambda x, y: y == 0.0, EvalDomainError, "division by zero in {!r}"),
-    "0^-": (lambda x, y: (x == 0.0) & (y < 0.0), EvalDomainError,
-            "0 raised to a negative power in {!r}"),
-    "-^x": (lambda x, y: (x < 0.0) & (np.floor(y) != y), EvalDomainError,
+    "log": (lambda v: v <= 0.0, "log of non-positive value in {!r}"),
+    "sqrt": (lambda v: v < 0.0, "sqrt of negative value in {!r}"),
+    "/": (lambda x, y: y == 0.0, "division by zero in {!r}"),
+    "0^-": (lambda x, y: (x == 0.0) & (y < 0.0), "0 raised to a negative power in {!r}"),
+    "-^x": (lambda x, y: (x < 0.0) & (np.floor(y) != y),
             "negative base with non-integer exponent in {!r}"),
 }
 
@@ -284,9 +283,9 @@ def _node_kernel(node, op, kernels, checks):
 
     def kernel(z1, z2):
         args = [f(z1, z2) for f in kernels]
-        for fails, error, message in tests:
+        for fails, message in tests:
             if np.any(fails(*args)):
-                raise error(message.format(node.text()))
+                raise EvalDomainError(message.format(node.text()))
         return apply(*args)
 
     return kernel

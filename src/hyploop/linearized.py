@@ -195,21 +195,11 @@ class ModeBlock:
         return self.null.shape[0]
 
 
-def _make_block(n_mode: int, matrix: np.ndarray) -> ModeBlock:
-    u, s, vt = np.linalg.svd(matrix)
-    cutoff = ZERO_SV_RTOL * s.max()
-    keep = s > cutoff
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    pinv = (vt.T * inv) @ u.T
-    return ModeBlock(n_mode, matrix, s, pinv, vt[~keep])
-
-
 def mode_blocks(k: float, n: int) -> tuple[ModeBlock, ...]:
     """All frequency blocks for an N-sample discretization (modes 0..N/2).
 
-    The 4x4 blocks of modes 1..N/2 share one stacked SVD; each is processed
-    as ``_make_block`` would.
+    One stacked SVD per block size: the 2x2 block of mode 0, then the 4x4
+    blocks of modes 1..N/2.
     """
     rk = curvature_radius(k)
     m = np.arange(1, n // 2 + 1, dtype=float)
@@ -220,13 +210,16 @@ def mode_blocks(k: float, n: int) -> tuple[ModeBlock, ...]:
     mats[:, 2, 2] = mats[:, 3, 3] = m**2 + rk**2
     mats[:, 1, 2] = mats[:, 2, 1] = cm
     mats[:, 0, 3] = mats[:, 3, 0] = -cm
-    u, s, vt = np.linalg.svd(mats)
-    keep = s > ZERO_SV_RTOL * s.max(axis=1, keepdims=True)
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    pinv = (vt.transpose(0, 2, 1) * inv[:, None, :]) @ u.transpose(0, 2, 1)
-    blocks = [_make_block(0, np.array([[0.0, 0.0], [0.0, rk**2 * (1.0 - k**2)]]))]
-    blocks += [ModeBlock(i + 1, mats[i], s[i], pinv[i], vt[i][~keep[i]]) for i in range(m.size)]
+    mode0 = np.array([[[0.0, 0.0], [0.0, rk**2 * (1.0 - k**2)]]])  # where the mean term lives
+    blocks = []
+    for first, stack in ((0, mode0), (1, mats)):
+        u, s, vt = np.linalg.svd(stack)
+        keep = s > ZERO_SV_RTOL * s.max(axis=1, keepdims=True)
+        inv = np.zeros_like(s)
+        inv[keep] = 1.0 / s[keep]
+        pinv = (vt.transpose(0, 2, 1) * inv[:, None, :]) @ u.transpose(0, 2, 1)
+        blocks += [ModeBlock(first + i, stack[i], s[i], pinv[i], vt[i][~keep[i]])
+                   for i in range(len(stack))]
     return tuple(blocks)
 
 

@@ -91,10 +91,12 @@ def melnikov_value(z, k: float, field, geometry: Geometry = HALFPLANE) -> float:
     prev = float(geometry.disk[0]([z[0]], [z[1]], k, field, NR_DEFAULT, NA_DEFAULT)[0])
     for m in (2, 4, 8):
         cur = float(geometry.disk[0]([z[0]], [z[1]], k, field, m * NR_DEFAULT, m * NA_DEFAULT)[0])
-        if abs(cur - prev) <= 1e-9 * max(1.0, abs(cur)):
+        gap = abs(cur - prev)
+        if gap <= 1e-9 * max(1.0, abs(cur)):
             return cur
         prev = cur
-    raise QuadratureFailure("disk rule did not stabilize to rtol=1e-09 after 3 doublings")
+    raise QuadratureFailure(f"disk rule did not stabilize to rtol=1e-09 after 3 doublings at "
+                            f"center ({z[0]:.6g}, {z[1]:.6g}): last gap {gap:.3e}")
 
 
 def melnikov_gradient_grid(z1, z2, k: float, field):

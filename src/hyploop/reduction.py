@@ -56,7 +56,7 @@ Z_STEP = 1e-5   # step for the outer finite-difference Jacobian in z
 
 
 class ProblemBase:
-    """Callbacks of the generic reduction driver, over a ``Geometry`` record.
+    """What the generic reduction driver needs of a plane besides its ``Geometry`` record.
 
     Subclasses set ``geometry`` and ``reference_data`` (k, n -> reference
     loop, tangent fields, mean_sq, reference energy) and define
@@ -69,24 +69,6 @@ class ProblemBase:
         self.n = int(n)
         self.reference, self.tangent, self.mean_sq, self.reference_energy = (
             self.reference_data(self.k, self.n))
-
-    def residual(self, u: Loop, eps: float) -> np.ndarray:
-        return residual(u, self.k, eps, self.field, self.geometry)
-
-    def energy_total(self, u: Loop, eps: float) -> float:
-        return energy(u, self.k, eps, self.field, geometry=self.geometry).total
-
-    def verify(self, u: Loop, eps: float) -> VerifyReport:
-        return verify_solution(u, self.k, eps, self.field, self.geometry)
-
-    def length(self, u: Loop) -> float:
-        return loop_length(u, self.geometry)
-
-    def is_admissible(self, samples: np.ndarray) -> bool:
-        return samples[:, 1].min() > self.geometry.floor
-
-    def melnikov_seed(self, region, grid):
-        return critical_point(self.k, self.field, region, grid, self.geometry)
 
 
 class HyperbolicProblem(ProblemBase):
@@ -126,6 +108,17 @@ class ReductionState:
     loop: Loop
     length: float
     iterations: int
+    mean_sq: float           # mean |u_ref|**2 of the reference loop; 1 in the plane
+
+    @property
+    def gradient(self) -> np.ndarray:
+        """Gradient of z -> E(u^eps_z) from the multipliers: (theta1, theta2 * mean_sq) / L."""
+        return np.array([self.theta[0] / self.length, self.theta[1] * self.mean_sq / self.length])
+
+
+def _center(z) -> np.ndarray:
+    """A center given as a HyperPoint or a pair, as a new float array."""
+    return np.array([z.z1, z.z2] if hasattr(z, "z1") else [z[0], z[1]], dtype=float)
 
 
 def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -> ReductionState:
@@ -137,10 +130,9 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
     chord stops when sup|top, cons| <= REDUCE_TOL or sup|d| <= STEP_TOL, and
     gives up after REDUCE_MAXIT steps or when three steps running fail to
     shrink below 0.9 times the last.  Each iterate's residual is evaluated
-    once, by ``problem.residual``.
+    once, by ``residual``.
     """
-    zp = np.asarray([z[0], z[1]] if not hasattr(z, "z1") else [z.z1, z.z2], dtype=float)
-    n = problem.n
+    zp, n, geometry = _center(z), problem.n, problem.geometry
     base = problem.base_loop(zp)
     tang = problem.tangent
     pairing = tang.reshape(len(tang), 2 * n) / n  # row i . x.ravel() = dot_mean(x, tang[i])
@@ -151,9 +143,9 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
 
     def evaluate(eta_, t_, theta_):
         u = Loop(base.samples + eta_)
-        if not problem.is_admissible(u.samples):
+        if not u.samples[:, 1].min() > geometry.floor:
             raise NewtonDiverged("correction iterate left the admissible set (u2 below the guard)")
-        res = problem.residual(u, eps)
+        res = residual(u, problem.k, eps, problem.field, geometry)
         top = res - t_ * tang[0] - theta_[0] * tang[1] - theta_[1] * tang[2]
         return u, top, pairing @ eta_.ravel()
 
@@ -181,7 +173,7 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
         last = size
         step = 1.0
         halvings = 0
-        while not problem.is_admissible(base.samples + eta + step * d_eta):
+        while not (base.samples + eta + step * d_eta)[:, 1].min() > geometry.floor:
             step *= 0.5
             halvings += 1
             if halvings > 20:
@@ -205,8 +197,9 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
         residual_sup=float(supF),
         constraint_res=cons,
         loop=u,
-        length=problem.length(u),
+        length=loop_length(u, geometry),
         iterations=iterations,
+        mean_sq=problem.mean_sq,
     )
 
 
@@ -220,26 +213,12 @@ def reduce_at(eps: float, z, k: float, field, n: int = 256) -> ReductionState:
 # ---------------------------------------------------------------------------
 
 
-def reduced_gradient_from_state(problem, state: ReductionState) -> np.ndarray:
-    """Gradient of z -> E(u^eps_z) recovered from the multipliers.
-
-    d1 E = theta1 / L,  d2 E = theta2 * mean|u_ref|^2 / L  (mean_sq = 1 in
-    the plane); dual to the constraint normalization.
-    """
-    return np.array(
-        [
-            state.theta[0] / state.length,
-            state.theta[1] * problem.mean_sq / state.length,
-        ]
-    )
-
-
 def reduced_gradient(eps: float, z, k: float, field, n: int = 256,
                      state: ReductionState | None = None) -> np.ndarray:
-    problem = HyperbolicProblem(k, field, n)
+    """Gradient of z -> E(u^eps_z): ``ReductionState.gradient`` of the solve at (eps, z)."""
     if state is None:
-        state = reduce_generic(problem, eps, z)
-    return reduced_gradient_from_state(problem, state)
+        state = reduce_at(eps, z, k, field, n)
+    return state.gradient
 
 
 def reduced_energy_offset(eps: float, z, k: float, field, n: int = 256,
@@ -254,7 +233,7 @@ def reduced_energy_offset(eps: float, z, k: float, field, n: int = 256,
     problem = HyperbolicProblem(k, field, n)
     if state is None:
         state = reduce_generic(problem, eps, z)
-    total = problem.energy_total(state.loop, eps)
+    total = energy(state.loop, problem.k, eps, problem.field).total
     return float(2.0 * np.pi / eps * (total - problem.reference_energy))
 
 
@@ -291,23 +270,20 @@ def solve_generic(problem, eps: float, region, grid: int = 16,
     is taken.
     """
     if seed is None:
-        seed = problem.melnikov_seed(region, grid)
-    if hasattr(seed, "z1"):
-        z = np.array([seed.z1, seed.z2], dtype=float)
-    else:
-        z = np.asarray(seed, dtype=float).copy()
+        seed = critical_point(problem.k, problem.field, region, grid, problem.geometry)
+    z = _center(seed)
     seed_tuple = (float(z[0]), float(z[1]))
     state = reduce_generic(problem, eps, z, warm=warm)
     for _ in range(30):
         if _multiplier_sup(problem, state) < FULL_RESIDUAL_TOL:
             break
-        g = reduced_gradient_from_state(problem, state)
+        g = state.gradient
         cols = []
         for axis in range(2):
             dz = np.zeros(2)
             dz[axis] = Z_STEP
             shifted = reduce_generic(problem, eps, z + dz, warm=state)
-            cols.append((reduced_gradient_from_state(problem, shifted) - g) / Z_STEP)
+            cols.append((shifted.gradient - g) / Z_STEP)
         try:
             step = np.linalg.solve(np.column_stack(cols), -g)
         except np.linalg.LinAlgError:
@@ -333,7 +309,7 @@ def _multiplier_sup(problem, state: ReductionState) -> float:
 
 
 def _finalize(problem, state, eps, z, seed_tuple) -> SolveReport:
-    defects = problem.verify(state.loop, eps)
+    defects = verify_solution(state.loop, problem.k, eps, problem.field, problem.geometry)
     base = problem.base_loop(z)
     report = SolveReport(
         loop=state.loop,
@@ -376,7 +352,7 @@ class ContinuationResult:
 def continue_generic(problem, region, eps_targets, grid: int = 16) -> ContinuationResult:
     targets = sorted(eps_targets, key=abs)
     result = ContinuationResult()
-    seed = problem.melnikov_seed(region, grid)
+    seed = critical_point(problem.k, problem.field, region, grid, problem.geometry)
     prev_report = None
     for eps in targets:
         try:

@@ -654,7 +654,7 @@ class TestResourceErrors:
         def refuse(*args, **kwargs):
             raise AssertionError("computed before checking the output")
 
-        for owner, name in ((melnikov, "find_critical"), (euclidean, "find_critical_euclid"),
+        for owner, name in ((melnikov, "find_critical"),
                             (euclidean, "solve_full_euclid"), (cli, "solve_full"),
                             (cli, "continue_eps")):
             monkeypatch.setattr(owner, name, refuse)
@@ -752,10 +752,10 @@ print(at_import, len(builds), codes)
         proc = run_process("-c", """
 import hyploop.cli
 from hyploop import _quad
-rules = (_quad.disk_rule, _quad._gl_nodes, _quad.nested_disk_rule, _quad._gk21)
+rules = (_quad.disk_rule, _quad.nested_disk_rule, _quad._gk21)
 print([f.cache_info().currsize for f in rules])
 """, cwd=tmp_path)
-        assert proc.stdout == "[0, 0, 0, 0]\n", proc.stderr
+        assert proc.stdout == "[0, 0, 0]\n", proc.stderr
 
     def test_cli_import_leaves_scipy_out(self, tmp_path):
         proc = run_process("-c", "import sys, hyploop.cli; print('scipy' in sys.modules)",

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from hyploop.errors import QuadratureFailure
 from hyploop.euclidean import (
     FLAT,
     EuclideanProblem,
     apply_linearization_euclid,
-    find_critical_euclid,
     kernel_basis_euclid,
     melnikov_gradient_grid_euclid,
     reference_circle,
@@ -24,7 +24,7 @@ from hyploop.loops import (
     signed_area,
     verify_solution,
 )
-from hyploop.melnikov import melnikov_value
+from hyploop.melnikov import find_critical, melnikov_value
 from hyploop.reduction import continue_generic, reduce_generic
 
 from conftest import band_limited_field, band_limited_loop
@@ -99,8 +99,14 @@ class TestDiskAverage:
                 np.pi * z[0] / K**2, abs=1e-10
             )
 
+    def test_unresolved_value_names_the_center(self):
+        # a kink inside the disk keeps the doubling gap above 1e-9
+        with pytest.raises(QuadratureFailure,
+                           match=r"3 doublings at center \(0, 2\): last gap \d\.\d{3}e-0\d$"):
+            melnikov_value((0, 2), 0.5, "abs(z1 - 0.3)", geometry=FLAT)
+
     def test_quadratic_critical_point(self):
-        search = find_critical_euclid(K, QUADRATIC, BOX, grid=12)
+        search = find_critical(K, QUADRATIC, BOX, grid=12, geometry=FLAT)
         assert len(search.points) == 1
         p = search.points[0]
         assert np.hypot(p.z[0] - 0.0, p.z[1] - 2.0) < 1e-9

@@ -3,8 +3,8 @@ import pytest
 
 from hyploop.halfplane import as_point, rot90
 from hyploop.linearized import (
+    ZERO_SV_RTOL,
     _circle,
-    _make_block,
     _solve_modes,
     apply_frame_operator,
     apply_linearization,
@@ -136,12 +136,13 @@ class TestModeBlocks:
     @pytest.mark.parametrize("k", K_VALUES + (1.01, 1.2, 8.0))
     @pytest.mark.parametrize("n", [4, 16, 256, 1024])
     def test_stacked_svd_matches_per_block(self, k, n):
+        # mode 0 included: each block as one SVD of its own matrix would give it
         for block in mode_blocks(k, n):
-            ref = _make_block(block.n, block.matrix.copy())
-            assert np.array_equal(block.matrix, ref.matrix)
-            assert np.array_equal(block.sigmas, ref.sigmas)
-            assert np.array_equal(block.null, ref.null)
-            assert np.abs(block.pinv - ref.pinv).max() <= 1e-15 * np.abs(ref.pinv).max()
+            _, s, vt = np.linalg.svd(block.matrix.copy())
+            assert np.array_equal(block.sigmas, s)
+            assert np.array_equal(block.null, vt[s <= ZERO_SV_RTOL * s.max()])
+            ref = np.linalg.pinv(block.matrix, rcond=ZERO_SV_RTOL)
+            assert np.abs(block.pinv - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_blocks_symmetric(self):
         for b in mode_blocks(2.0, 64):

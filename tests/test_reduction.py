@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hyploop import reduction
+from hyploop.euclidean import EuclideanProblem
 from hyploop.errors import HyploopError, NewtonDiverged
 from hyploop.fields import RegionBox, parse_field
 from hyploop.halfplane import translate
@@ -118,6 +121,24 @@ class TestReducedFunction:
             ]
         )
         assert np.abs(g - fd).max() / np.abs(fd).max() < 1e-4
+
+    @pytest.mark.parametrize("plane", [reduction.HyperbolicProblem, EuclideanProblem])
+    def test_gradient_is_derived_from_the_multipliers(self, plane, monkeypatch):
+        problem = plane(K, QUADRATIC, 256)
+        state = reduction.reduce_generic(problem, 1e-2, (0.1, 1.9))
+
+        def expected(st):
+            return np.array([st.theta[0] / st.length, st.theta[1] * problem.mean_sq / st.length])
+
+        assert np.array_equal(state.gradient, expected(state))
+        # a replaced theta is read afresh: no stored gradient can go stale
+        moved = dataclasses.replace(state, theta=np.array([0.25, -0.5]))
+        assert np.array_equal(moved.gradient, expected(moved))
+        assert not np.array_equal(moved.gradient, state.gradient)
+        # the library entry reads the state and builds no problem
+        monkeypatch.setattr(reduction, "HyperbolicProblem", None)
+        assert np.array_equal(reduced_gradient(1e-2, (0.1, 1.9), K, QUADRATIC, state=state),
+                              state.gradient)
 
     def test_symmetric_field_axis_component_vanishes(self):
         g = reduced_gradient(1e-2, (0.0, 1.9), K, QUADRATIC)
