@@ -18,11 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from ._quad import disk_rule
-from .fields import RegionBox, as_field, eval_field
+from .fields import RegionBox, as_field
 from .halfplane import Geometry, rot90
 from .linearized import bordered_solve, denoise_spectrum, tangent_projection
 from .loops import Loop, energy
-from .melnikov import NA_DEFAULT, NR_DEFAULT, _boundary_gradient
+from .melnikov import NR_DEFAULT, VALUE_RTOL, _boundary_gradient, _per_center
 from .reduction import ProblemBase, SolveReport, solve_generic
 
 
@@ -97,17 +97,30 @@ def solve_linearization_euclid(f: np.ndarray, k: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def melnikov_grid_euclid(z1, z2, k: float, field, nr: int = NR_DEFAULT, na: int = NA_DEFAULT):
-    expr = as_field(field)
-    z1 = np.asarray(z1, dtype=float).ravel()
-    z2 = np.asarray(z2, dtype=float).ravel()
-    q, w = disk_rule(nr, na)
-    q, w = q / k, w / k**2
-    out = np.empty(z1.size)
-    for start in range(0, z1.size, 256):
-        sl = slice(start, min(start + 256, z1.size))
-        out[sl] = w @ eval_field(expr, z1[None, sl] + q[:, 0:1], z2[None, sl] + q[:, 1:2])
-    return out
+def melnikov_grid_euclid(z1, z2, k: float, field):
+    """F on arrays of centers, each by ``disk_rule(n, 2n)`` on D_{1/k}(z), checked against n/2.
+
+    The points of order n are those of the orders 32, 64, ..., n in turn, so
+    a center that refines keeps its K.  The driver ``_per_center`` accepts a
+    center when |Q_n - Q_n/2| is at most VALUE_RTOL max(1, |F|) or the
+    rounding of K, from n = NR_DEFAULT up to 8 NR_DEFAULT.
+    """
+    def rule(z1, z2, n, evaluate):
+        q, w = zip(*(disk_rule(m, 2 * m) for m in (32, 64, 128, 256, 512) if m <= n))
+        q, half, w = np.concatenate(q) / k, w[-2] / k**2, w[-1] / k**2
+        kv = evaluate(lambda s: (z1 + q[s, 0], z2 + q[s, 1]))
+        last = q.shape[0] - w.size  # the order-n block comes last, the order-n/2 block before it
+        # one dot product per center: the same bits for a center alone or in a batch
+        value, prev = ((kv[:, None, a : a + u.size] @ u[:, None])[:, 0, 0]
+                       for a, u in ((last, w), (last - half.size, half)))
+        size = (abs(kv[:, None, last:]) @ w[:, None])[:, 0, 0]
+        return value, np.abs(value - prev), np.maximum(
+            VALUE_RTOL * np.maximum(1.0, np.abs(value)), 4e-16 * size)
+
+    # K points per center at order n: 2 m**2 for each of m = 32, 64, ..., n
+    return _per_center(z1, z2, as_field(field), np.empty(np.size(z1)), rule,
+                       (NR_DEFAULT, 8 * NR_DEFAULT, lambda n: 2 * (4 * n * n - 1024) // 3),
+                       ("inside the disk", "disk average did not stabilize"))
 
 
 def melnikov_gradient_grid_euclid(z1, z2, k: float, field):

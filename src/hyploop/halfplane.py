@@ -54,6 +54,11 @@ def as_point(z) -> HyperPoint:
     return HyperPoint(z1, z2)
 
 
+def _center(z) -> np.ndarray:
+    """A center given as a HyperPoint or a pair, as a new float array."""
+    return np.array([z.z1, z.z2] if hasattr(z, "z1") else [z[0], z[1]], dtype=float)
+
+
 def rot90(v: np.ndarray) -> np.ndarray:
     """Complex multiplication by i on 2-vectors: (v1, v2) -> (-v2, v1).
 

@@ -26,7 +26,7 @@ scan + Newton refinement + Hessian classification) works from grad F and
 evaluates F only at the node of largest |grad F|, for its rounding scale,
 and at each point it reports.  ``find_critical`` adds F at every node, the
 landscape of ``hyploop melnikov``; ``critical_point``, the seed of a solve,
-does not.  Search, seed choice and value refinement take a ``Geometry``
+does not.  Search, seed choice and single values take a ``Geometry``
 record for the flat plane.
 """
 
@@ -35,11 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._quad import nested_disk_rule
 from .errors import EvalDomainError, NoCritical, QuadratureFailure
 from .fields import RegionBox, as_field, eval_field
-from .halfplane import HALFPLANE, Geometry, as_point
+from .halfplane import HALFPLANE, Geometry, _center, as_point
 from .loops import curvature_radius
 
 NR_DEFAULT = 64
@@ -79,24 +80,10 @@ def melnikov_grid(z1, z2, k: float, field):
 
 
 def melnikov_value(z, k: float, field, geometry: Geometry = HALFPLANE) -> float:
-    """F at a single center; the flat record's fixed rule is refined here.
-
-    From NR_DEFAULT x NA_DEFAULT its orders double, at most 3 times, until
-    successive values agree to 1e-9 relative to max(1, |F|).  The half plane
-    has one rule, which checks itself: ``melnikov_grid``.
-    """
-    if not geometry.disk:
-        zp = as_point(z)
-        return float(melnikov_grid([zp.z1], [zp.z2], k, field)[0])
-    prev = float(geometry.disk[0]([z[0]], [z[1]], k, field, NR_DEFAULT, NA_DEFAULT)[0])
-    for m in (2, 4, 8):
-        cur = float(geometry.disk[0]([z[0]], [z[1]], k, field, m * NR_DEFAULT, m * NA_DEFAULT)[0])
-        gap = abs(cur - prev)
-        if gap <= 1e-9 * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureFailure(f"disk rule did not stabilize to rtol=1e-09 after 3 doublings at "
-                            f"center ({z[0]:.6g}, {z[1]:.6g}): last gap {gap:.3e}")
+    """F at a single center, a HyperPoint or a pair, by the plane's self-checked grid rule."""
+    z1, z2 = _center(as_point(z) if geometry.curved else z)
+    value_grid = geometry.disk[0] if geometry.disk else melnikov_grid
+    return float(value_grid([z1], [z2], k, field)[0])
 
 
 def melnikov_gradient_grid(z1, z2, k: float, field):
@@ -239,8 +226,8 @@ class CriticalSearch:
     grid: tuple[np.ndarray, ...]
 
 
-def _fd_jacobian(grad_fn, z, h):
-    cols = []
+def _fd_jacobian(grad_fn, z):
+    h, cols = 1e-5 * max(1.0, float(np.hypot(*z))), []
     for axis in range(2):
         dz = np.zeros(2)
         dz[axis] = h
@@ -274,8 +261,7 @@ def _newton_refine(grad_fn, z0, lower_z2, bounds, tol):
         g = grad_fn(z)
         if np.hypot(*g) < tol:
             return z, True, g
-        h = 1e-5 * max(1.0, float(np.hypot(*z)))
-        jac = _fd_jacobian(grad_fn, z, h)
+        jac = _fd_jacobian(grad_fn, z)
         try:
             step = np.linalg.solve(jac, -g)
         except np.linalg.LinAlgError:
@@ -300,8 +286,7 @@ def _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value):
     |grad F|, is the rounding scale.
     """
     g1, g2, d1, d2, _ = scan
-    shape = g1.shape
-    gnorm = np.hypot(d1, d2).reshape(shape)
+    gnorm = np.hypot(d1, d2).reshape(g1.shape)
     vscale = max(1.0, abs(float(top_value)))
     # grad F is resolved only to the rounding of K, about 1e-16 |F|: Newton stops there
     tol = max(GRAD_TOL, 1e-14 * vscale)
@@ -312,13 +297,8 @@ def _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value):
         a, b = grad_grid_fn(np.array([z[0]]), np.array([z[1]]))
         return np.array([a[0], b[0]])
 
-    padded = np.pad(gnorm, 1, constant_values=np.inf)
-    neighborhood = np.ones(gnorm.shape, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == dj == 0:
-                continue
-            neighborhood &= gnorm <= padded[1 + di : 1 + di + shape[0], 1 + dj : 1 + dj + shape[1]]
+    windows = sliding_window_view(np.pad(gnorm, 1, constant_values=np.inf), (3, 3))
+    neighborhood = gnorm <= windows.min(axis=(2, 3))  # no larger than any of its 8 neighbours
 
     margin1, margin2 = 0.5 * (region.z1max - region.z1min), 0.5 * (region.z2max - region.z2min)
     bounds = ((region.z1min - margin1, region.z1max + margin1),
@@ -331,27 +311,26 @@ def _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value):
             continue
         if any(np.hypot(*(z - np.asarray(p.z))) < 1e-6 for p in points):
             continue
-        h = 1e-5 * max(1.0, float(np.hypot(*z)))
-        hess = _fd_jacobian(grad_fn, z, h)
+        hess = _fd_jacobian(grad_fn, z)
         value = float(value_grid_fn(np.array([z[0]]), np.array([z[1]]))[0])
         points.append(MelnikovSample((float(z[0]), float(z[1])), value, grad, hess,
                                      _classify(hess)))
     return tuple(points), None if points else "no gradient zero found in the region"
 
 
-def _scan(grad_grid_fn, region: RegionBox, grid: int):
-    """The nodes of ``region.grid``, grad F there (flat) and the index of the largest |grad F|."""
-    g1, g2 = region.grid(grid)
-    d1, d2 = grad_grid_fn(g1.ravel(), g2.ravel())
-    return g1, g2, d1, d2, int(np.argmax(np.hypot(d1, d2)))
+def _scan(k, field, region: RegionBox, grid: int, geometry):
+    """F and grad F on arrays of centers in one plane, the floor of the Newton iterates, and the scan.
 
-
-def _callbacks(k, field, region, geometry):
-    """F and grad F on arrays of centers in one plane, and the floor of the Newton iterates."""
+    The scan is the nodes of ``region.grid``, grad F there (flat) and the
+    index of the largest |grad F|.
+    """
     value_grid, gradient_grid = geometry.disk or (melnikov_grid, melnikov_gradient_grid)
     expr, floor = as_field(field), (0.5 * region.z2min if geometry.curved else -np.inf)
-    return (lambda z1, z2: value_grid(z1, z2, k, expr),
-            lambda z1, z2: gradient_grid(z1, z2, k, expr), floor)
+    value_grid_fn, grad_grid_fn = (lambda z1, z2: value_grid(z1, z2, k, expr),
+                                   lambda z1, z2: gradient_grid(z1, z2, k, expr))
+    g1, g2 = region.grid(grid)
+    d1, d2 = grad_grid_fn(g1.ravel(), g2.ravel())
+    return value_grid_fn, grad_grid_fn, floor, (g1, g2, d1, d2, int(np.argmax(np.hypot(d1, d2))))
 
 
 def find_critical(k: float, field, region: RegionBox, grid: int = 32,
@@ -361,8 +340,8 @@ def find_critical(k: float, field, region: RegionBox, grid: int = 32,
     F is evaluated at every grid node, which also gives the rounding scale of
     the search, and at each reported point.
     """
-    value_grid_fn, grad_grid_fn, floor = _callbacks(k, field, region, geometry)
-    g1, g2, d1, d2, top = scan = _scan(grad_grid_fn, region, grid)
+    value_grid_fn, grad_grid_fn, floor, scan = _scan(k, field, region, grid, geometry)
+    g1, g2, d1, d2, top = scan
     z1, z2 = g1.ravel(), g2.ravel()
     flat = value_grid_fn(z1, z2)
     points, note = _refine(value_grid_fn, grad_grid_fn, region, floor, scan, flat[top])
@@ -380,8 +359,8 @@ def critical_point(k: float, field, region: RegionBox, grid: int = 32,
     The search of ``find_critical``, but F is evaluated only at the node of
     largest |grad F|, for the rounding scale, and at each point found.
     """
-    value_grid_fn, grad_grid_fn, floor = _callbacks(k, field, region, geometry)
-    g1, g2, _, _, top = scan = _scan(grad_grid_fn, region, grid)
+    value_grid_fn, grad_grid_fn, floor, scan = _scan(k, field, region, grid, geometry)
+    g1, g2, _, _, top = scan
     top_value = value_grid_fn(g1.ravel()[top : top + 1], g2.ravel()[top : top + 1])[0]
     points, note = _refine(value_grid_fn, grad_grid_fn, region, floor, scan, top_value)
     if not points:

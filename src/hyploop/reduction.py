@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import HyploopError, NewtonDiverged, NotEmbedded, StepTooLarge
 from .fields import as_field
-from .halfplane import HALFPLANE, as_point, translate
+from .halfplane import HALFPLANE, _center, as_point, translate
 from .linearized import _circle, frozen_solve
 from .loops import (
     Loop,
@@ -114,11 +114,6 @@ class ReductionState:
     def gradient(self) -> np.ndarray:
         """Gradient of z -> E(u^eps_z) from the multipliers: (theta1, theta2 * mean_sq) / L."""
         return np.array([self.theta[0] / self.length, self.theta[1] * self.mean_sq / self.length])
-
-
-def _center(z) -> np.ndarray:
-    """A center given as a HyperPoint or a pair, as a new float array."""
-    return np.array([z.z1, z.z2] if hasattr(z, "z1") else [z[0], z[1]], dtype=float)
 
 
 def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -> ReductionState:

@@ -388,6 +388,26 @@ class TestSolveVerifyRoundTrip:
         assert (tmp_path / "chain_0.csv").exists()
         assert (tmp_path / "chain_1.csv").exists()
 
+    def test_continue_failing_at_the_first_target_exits_numerical(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "continue", "--k", "2", "--field", QUADRATIC, "--box", "-0.6,0.6,1.2,2.8",
+            "--eps-list", "5", "--out", str(tmp_path / "chain"),
+        )
+        assert code == 4
+        report = json.loads(out)
+        assert report["solved"] == [] and report["failure"]["eps"] == 5
+        assert err.startswith("continuation failed at the first target: "
+                              "(5.0, 'StepTooLarge: damping exhausted")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_continue_without_a_critical_point_exits_blocked(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "continue", "--k", "2", "--field", "z1", "--box", "-0.6,0.6,1.2,2.8",
+            "--eps-list", "0.01", "--out", str(tmp_path / "chain"),
+        )
+        assert (code, out, err) == (2, "", "hyploop: no gradient zero found in the region\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEuclidCommands:
     def test_melnikov(self, capsys, tmp_path):

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
-from hyploop.errors import QuadratureFailure
+from hyploop._quad import disk_rule
+from hyploop.errors import EvalDomainError, QuadratureFailure
 from hyploop.euclidean import (
     FLAT,
     EuclideanProblem,
     apply_linearization_euclid,
     kernel_basis_euclid,
+    melnikov_grid_euclid,
     melnikov_gradient_grid_euclid,
     reference_circle,
     solve_full_euclid,
     solve_linearization_euclid,
 )
-from hyploop.fields import PlaneBox, parse_field
-from hyploop.halfplane import geodesic_curvature
+from hyploop.fields import PlaneBox, eval_field, parse_field
+from hyploop.halfplane import HALFPLANE, HyperPoint, geodesic_curvature
 from hyploop.loops import (
     Loop,
     dot_mean,
@@ -30,6 +32,7 @@ from hyploop.reduction import continue_generic, reduce_generic
 from conftest import band_limited_field, band_limited_loop
 
 QUADRATIC = parse_field("z1^2 + (z2-2)^2")
+TRANSCENDENTAL = "exp(-z1^2)*sin(z2) + tanh(z1*z2)"
 BOX = PlaneBox(-0.6, 0.6, 1.4, 2.6)
 K = 2.0
 
@@ -100,10 +103,46 @@ class TestDiskAverage:
             )
 
     def test_unresolved_value_names_the_center(self):
-        # a kink inside the disk keeps the doubling gap above 1e-9
+        # a kink inside the disk keeps the halving gap above 1e-10 up to the last order
         with pytest.raises(QuadratureFailure,
-                           match=r"3 doublings at center \(0, 2\): last gap \d\.\d{3}e-0\d$"):
+                           match=r"disk average did not stabilize at center \(0, 2\): "
+                                 r"halving estimate \d\.\d{3}e-\d\d with \d+ points$"):
             melnikov_value((0, 2), 0.5, "abs(z1 - 0.3)", geometry=FLAT)
+
+    @staticmethod
+    def reference(z, k, field):
+        """F on D_{1/k}(z) by disk_rule(1024, 2048), far past the orders the rule reaches."""
+        q, w = disk_rule(1024, 2048)
+        return w @ eval_field(parse_field(field), z[0] + q[:, 0] / k, z[1] + q[:, 1] / k) / k**2
+
+    @pytest.mark.parametrize("field", [TRANSCENDENTAL, "tanh(5*z1)"])
+    @pytest.mark.parametrize("k", [0.1, 0.25, 0.5, 2.0])
+    def test_small_k_is_resolved_or_names_the_center(self, field, k):
+        # a fixed 64 x 128 rule is off by 5.6e-5 here at k = 0.25, and by 1.6e-1 at k = 0.1
+        want = self.reference((0.3, 1.9), k, field)
+        try:
+            got = melnikov_grid_euclid([0.3], [1.9], k, field)[0]
+        except QuadratureFailure as err:
+            assert k == 0.1 and "at center (0.3, 1.9):" in str(err)
+            return
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+    def test_a_center_alone_and_in_a_batch_agree_bitwise(self):
+        z1, z2 = np.array([0.3, -1.0, 0.3, 2.0]), np.array([1.9, 0.5, 1.9, -3.0])
+        batch = melnikov_grid_euclid(z1, z2, 0.25, TRANSCENDENTAL)
+        alone = [melnikov_grid_euclid([a], [b], 0.25, TRANSCENDENTAL)[0] for a, b in zip(z1, z2)]
+        assert batch.tolist() == alone
+
+    def test_non_finite_field_names_the_center(self):
+        # exp(400*p2) overflows inside the disk of (0, 2), not inside that of (0, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EvalDomainError, match=r"inside the disk of center \(0, 2\)$"):
+                melnikov_grid_euclid([0.0, 0.0], [1.0, 2.0], K, "exp(400*z2) - exp(400*z2)")
+
+    @pytest.mark.parametrize("geometry", [HALFPLANE, FLAT])
+    def test_value_takes_a_hyperpoint_or_a_pair(self, geometry):
+        pair = melnikov_value((0.3, 1.9), K, TRANSCENDENTAL, geometry=geometry)
+        assert melnikov_value(HyperPoint(0.3, 1.9), K, TRANSCENDENTAL, geometry=geometry) == pair
 
     def test_quadratic_critical_point(self):
         search = find_critical(K, QUADRATIC, BOX, grid=12, geometry=FLAT)

@@ -7,12 +7,13 @@ PARENT_DIR and CHANGE_DIR are checkouts (for example `git archive` copies)
 that each hold `src/hyploop` and `demos/`.  Each case runs once per
 checkout, in a fresh temporary directory, with that checkout's `src/` on
 PYTHONPATH and PYTHONDONTWRITEBYTECODE=1.  The built-in cases are the
-README command-line examples, `euclid melnikov`, a transcendental solve,
-a k = 1.3 solve (each solve's loop file verified again) and every script in
-`demos/`; `--case ARGS`, repeatable, runs those `hyploop` command lines
-instead.  The exit code, stdout and stderr of every command, and every
-file a case leaves in its directory, are compared byte for byte.  Prints
-each difference and exits 1 if there is one, else prints the number of
+README command-line examples, `euclid melnikov` (also at k = 0.25, where
+the flat value rule refines), a transcendental solve, a k = 1.3 solve
+(each solve's loop file verified again) and every script in `demos/`;
+`--case ARGS`, repeatable, runs those `hyploop` command lines instead.
+The exit code, stdout and stderr of every command, and every file a case
+leaves in its directory, are compared byte for byte.  Prints each
+difference and exits 1 if there is one, else prints the number of
 commands compared and exits 0.  Only the standard library is used;
 nothing runs in parallel.
 """
@@ -47,6 +48,8 @@ CASES = {
                       "--box", "-0.6,0.6,1.4,2.6"]],
     "euclid melnikov": [["euclid", "melnikov", "--k", "2", "--field", QUADRATIC,
                          "--box", "-0.6,0.6,1.4,2.6", "--grid", "8"]],
+    "euclid melnikov, small k": [["euclid", "melnikov", "--k", "0.25", "--field", TRANSCENDENTAL,
+                                  "--box", BOX, "--grid", "4"]],
     "transcendental solve": [["solve", "--k", "2", "--eps", "0.01", "--field", TRANSCENDENTAL,
                               "--box", BOX, "--grid", "12", "--out", "loop.csv"],
                              ["verify", "--in", "loop.csv", "--k", "2"]],
