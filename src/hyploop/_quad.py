@@ -72,8 +72,7 @@ def adaptive_gauss_legendre(f, lo, hi, tol=1e-12, max_depth=24):
             i = int(np.argmin(finite))
             raise QuadratureFailure(f"adaptive Gauss-Kronrod: non-finite estimate on panel "
                                     f"[{cur_lo[i]:.6g}, {cur_hi[i]:.6g}]")
-        total_err = np.zeros(lo.size)
-        np.add.at(total_err, cur_idx, err)
+        total_err = np.bincount(cur_idx, weights=err, minlength=lo.size)
         finished = total_err[cur_idx] <= tol
         np.add.at(out, cur_idx[finished], fine[finished])
         remaining = ~finished

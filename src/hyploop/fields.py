@@ -481,6 +481,10 @@ def eval_field(field, z1, z2):
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     out = kernel(z1, z2)
+    if type(out) is np.ndarray and out.dtype == float and out.shape == z1.shape == z2.shape:
+        out = out.view()  # read-only, as broadcast_to returns it, and never the input itself
+        out.flags.writeable = False
+        return out
     return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast_shapes(z1.shape, z2.shape))
 
 

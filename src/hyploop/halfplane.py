@@ -65,7 +65,9 @@ def rot90(v: np.ndarray) -> np.ndarray:
     Works on a single vector or an (N, 2) array of vectors.
     """
     v = np.asarray(v, dtype=float)
-    return np.stack((-v[..., 1], v[..., 0]), axis=-1)
+    out = np.empty_like(v)
+    out[..., 0], out[..., 1] = -v[..., 1], v[..., 0]
+    return out
 
 
 def hyp_distance(p, q) -> float:
@@ -93,7 +95,9 @@ def christoffel(v) -> np.ndarray:
     transiently outside the half-plane.
     """
     v = np.asarray(v, dtype=float)
-    return np.stack((2.0 * v[..., 0] * v[..., 1], v[..., 1] ** 2 - v[..., 0] ** 2), axis=-1)
+    out = np.empty_like(v)
+    out[..., 0], out[..., 1] = 2.0 * v[..., 0] * v[..., 1], v[..., 1] ** 2 - v[..., 0] ** 2
+    return out
 
 
 def translate(z, u):

@@ -344,6 +344,8 @@ def frozen_solve(z, k: float, rhs: np.ndarray, cons: np.ndarray) -> tuple[np.nda
     w = circle.weights
 
     def inverse(f):
-        return from_frame(_solve_modes(z2**2 * (f[:, 0:1] * w[0] + f[:, 1:2] * w[1]), k), k)
+        g = _per_mode(np.fft.rfft(z2**2 * (f[:, 0:1] * w[0] + f[:, 1:2] * w[1]), axis=0),
+                      circle.pinvs, len(f))
+        return g[:, 0:1] * circle.om_p + g[:, 1:2] * circle.i_om_p
 
     return bordered_solve(circle.tangent, circle.ginv, circle.proj, inverse, rhs, cons)

@@ -114,9 +114,11 @@ def _wavenumber_powers(n: int, orders: tuple[int, ...]) -> np.ndarray:
 
 
 def _require_nonconstant(u: Loop):
-    spread = (u.samples.max(axis=0) - u.samples.min(axis=0)).max()
-    scale = max(1.0, np.abs(u.samples).max())
-    if spread < 1e-14 * scale:
+    """Raise unless a coordinate spreads by 1e-14 max(1, sup|u|); NaN samples pass."""
+    u1, u2 = u.samples[:, 0], u.samples[:, 1]
+    lo1, hi1, lo2, hi2 = u1.min(), u1.max(), u2.min(), u2.max()
+    floor = 1e-14 * max(1.0, -lo1, hi1, -lo2, hi2)
+    if hi1 - lo1 < floor and hi2 - lo2 < floor:
         raise DegenerateLoop("loop is numerically constant")
 
 
@@ -177,7 +179,7 @@ def loop_length(u: Loop, geometry: Geometry = HALFPLANE) -> float:
 
 
 def _length(up: np.ndarray, h: np.ndarray) -> float:
-    return float(np.sqrt(((up**2).sum(axis=1) / h**2).mean()))
+    return float(np.sqrt(((up[:, 0] ** 2 + up[:, 1] ** 2) / h**2).mean()))
 
 
 def area_const(u: Loop, geometry: Geometry = HALFPLANE) -> float:

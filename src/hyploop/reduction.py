@@ -36,8 +36,8 @@ from .loops import (
     VerifyReport,
     c0_distance,
     c2_distance,
+    _length,
     energy,
-    loop_length,
     residual,
     verify_solution,
 )
@@ -136,15 +136,16 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
     t = 0.0 if warm is None else warm.t
     theta = np.zeros(2) if warm is None else warm.theta.copy()
 
-    def evaluate(eta_, t_, theta_):
-        u = Loop(base.samples + eta_)
-        if not u.samples[:, 1].min() > geometry.floor:
-            raise NewtonDiverged("correction iterate left the admissible set (u2 below the guard)")
+    def evaluate(samples, eta_, t_, theta_):
+        u = Loop(samples)
         res = residual(u, problem.k, eps, problem.field, geometry)
         top = res - t_ * tang[0] - theta_[0] * tang[1] - theta_[1] * tang[2]
         return u, top, pairing @ eta_.ravel()
 
-    u, top, cons = evaluate(eta, t, theta)
+    samples = base.samples + eta
+    if not samples[:, 1].min() > geometry.floor:
+        raise NewtonDiverged("correction iterate left the admissible set (u2 below the guard)")
+    u, top, cons = evaluate(samples, eta, t, theta)
     supF = max(np.abs(top).max(), np.abs(cons).max())
     iterations = 0
     stagnant = 0
@@ -166,19 +167,22 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
                 f"(residual {supF:.3e}, step {size:.3e})"
             )
         last = size
-        step = 1.0
-        halvings = 0
-        while not (base.samples + eta + step * d_eta)[:, 1].min() > geometry.floor:
+        step, halvings = 1.0, 0
+        while True:  # the candidate iterate, evaluated as built once it is admissible
+            candidate = eta + step * d_eta
+            samples = base.samples + candidate
+            if samples[:, 1].min() > geometry.floor:
+                break
             step *= 0.5
             halvings += 1
             if halvings > 20:
                 raise StepTooLarge(
                     "damping exhausted keeping the iterate admissible; try smaller |eps|"
                 )
-        eta = eta + step * d_eta
+        eta = candidate
         t = t + step * d_t
         theta = theta + step * d_theta
-        u, top, cons = evaluate(eta, t, theta)
+        u, top, cons = evaluate(samples, eta, t, theta)
         supF = max(np.abs(top).max(), np.abs(cons).max())
         iterations += 1
 
@@ -192,7 +196,7 @@ def reduce_generic(problem, eps: float, z, warm: ReductionState | None = None) -
         residual_sup=float(supF),
         constraint_res=cons,
         loop=u,
-        length=loop_length(u, geometry),
+        length=_length(u.deriv(1), geometry.height(u)),  # u passed residual's checks
         iterations=iterations,
         mean_sq=problem.mean_sq,
     )

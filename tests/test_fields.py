@@ -143,6 +143,22 @@ class TestEvaluation:
         assert out.shape == (4, 3)
         assert np.array_equal(out[0], [0.0, 2.0, 4.0])
 
+    @pytest.mark.parametrize("text", ["z1", "z2", "2.5", "z1+0"])
+    @pytest.mark.parametrize("shapes", [((7,), (7,)), ((4, 1), (1, 3))])
+    def test_result_is_a_read_only_array_that_is_not_an_input(self, text, shapes, rng):
+        # same-shape inputs take the short path; broadcast ones go through broadcast_to.
+        # Either way the caller's arrays stay writable and are never returned
+        z1, z2 = rng.uniform(0.5, 2.0, shapes[0]), rng.uniform(0.5, 2.0, shapes[1])
+        expect = {"z1": z1, "z2": z2, "2.5": 2.5, "z1+0": z1 + 0.0}[text]
+        out = eval_field(parse_field(text), z1, z2)
+        assert type(out) is np.ndarray and out.dtype == float
+        assert np.array_equal(out, np.broadcast_to(expect, np.broadcast_shapes(z1.shape, z2.shape)))
+        assert out is not z1 and out is not z2
+        assert not out.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            out[...] = 0.0
+        assert z1.flags.writeable and z2.flags.writeable
+
 
 class TestGradient:
     def test_linear(self):

@@ -9,6 +9,7 @@ from hyploop.halfplane import (
     disk_to_euclid,
     geodesic_curvature,
     hyp_distance,
+    rot90,
     translate,
 )
 from hyploop.loops import Loop, reference_loop
@@ -75,6 +76,19 @@ class TestChristoffel:
     def test_values(self):
         assert np.allclose(christoffel([0.0, 1.0]), [0.0, 1.0])
         assert np.allclose(christoffel([1.0, 0.0]), [0.0, -1.0])
+
+    @pytest.mark.parametrize("shape", [(2,), (64, 2), (3, 64, 2), "transposed"])
+    def test_bitwise_equal_to_the_stacked_formulas_on_a_new_array(self, shape, rng):
+        v = rng.normal(size=(2, 64)).T if shape == "transposed" else rng.normal(size=shape)
+        stacked = {rot90: np.stack((-v[..., 1], v[..., 0]), axis=-1),
+                   christoffel: np.stack((2.0 * v[..., 0] * v[..., 1],
+                                          v[..., 1] ** 2 - v[..., 0] ** 2), axis=-1)}
+        before = v.copy()
+        for fn, expect in stacked.items():
+            out = fn(v)
+            assert out.shape == v.shape and np.array_equal(out, expect)
+            assert not np.shares_memory(out, v) and out.flags.writeable
+        assert np.array_equal(v, before)
 
 
 class TestTranslate:

@@ -160,6 +160,36 @@ class TestLength:
         with pytest.raises(DegenerateLoop):
             loop_length(Loop(np.tile([0.0, 1.0], (64, 1))))
 
+    @staticmethod
+    def stacked_guard_raises(samples):
+        """The guard as a whole-array formula: spread < 1e-14 max(1, sup|u|), Python's max."""
+        spread = (samples.max(axis=0) - samples.min(axis=0)).max()
+        return bool(spread < 1e-14 * max(1.0, np.abs(samples).max()))
+
+    @pytest.mark.parametrize("point", [(0.0, 1.0), (-3.0, 1.5), (2.0, 40.0)])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_constant_guard_threshold(self, point, column):
+        # raises below 1e-14 max(1, sup|u|) of spread in both coordinates, passes above
+        samples = np.tile(point, (64, 1))
+        scale = max(1.0, np.abs(samples).max())
+        for spread, raises in ((0.5e-14 * scale, True), (2e-14 * scale, False)):
+            moved = samples.copy()
+            moved[5, column] += spread
+            assert self.stacked_guard_raises(moved) is raises
+            if raises:
+                with pytest.raises(DegenerateLoop, match="numerically constant"):
+                    loops._require_nonconstant(Loop(moved))
+            else:
+                loops._require_nonconstant(Loop(moved))
+
+    @pytest.mark.parametrize("nan_column", [0, 1])
+    def test_constant_guard_lets_nan_samples_pass(self, nan_column):
+        # a NaN spread compares false whichever coordinate holds it; the other is constant
+        samples = np.tile([0.5, 1.0], (64, 1))
+        samples[3, nan_column] = np.nan
+        assert not self.stacked_guard_raises(samples)
+        loops._require_nonconstant(Loop(samples))
+
     @pytest.mark.parametrize("k", [1e200, np.float64(1e160), np.inf])
     def test_curvature_whose_square_overflows_rejected(self, k):
         # 1/sqrt(k**2 - 1) would be 0: a circle of radius 0, not an error
@@ -537,6 +567,30 @@ class TestAdaptiveQuadrature:
         )[0]
         exact = 0.5 * (0.3333**2 + (1 - 0.3333) ** 2)
         assert val == pytest.approx(exact, abs=1e-12)
+
+    def test_bisecting_batch_keeps_its_bits(self):
+        # per-interval error totals sum each interval's panels in index order from zero;
+        # the values were recorded at c5d8c30, where np.add.at summed them
+        from hyploop._quad import adaptive_gauss_legendre
+
+        rng = np.random.default_rng(3)
+        idx, err = rng.integers(0, 5, 200), rng.uniform(0, 1e-10, 200)
+        added = np.zeros(5)
+        np.add.at(added, idx, err)
+        assert np.array_equal(np.bincount(idx, weights=err, minlength=5), added)
+
+        def f(idx, t):  # a kink, a cubic, two kinks
+            return np.where(idx == 0, np.abs(t - 0.3333),
+                            np.where(idx == 1, t**3 - 2.0 * t, np.abs(t - 0.5) + np.abs(t - 1.2)))
+
+        recorded = {
+            1e-12: ("0x1.1c74b0d6f7ef9p-2", "-0x1.dffffffffffffp-3", "0x1.3f5c28f5c29fbp+2"),
+            1e-13: ("0x1.1c74b0d6f7f4dp-2", "-0x1.dffffffffffffp-3", "0x1.3f5c28f5c28d5p+2"),
+        }
+        for tol, bits in recorded.items():
+            vals = adaptive_gauss_legendre(f, np.array([0.0, 0.0, -1.0]), np.array([1.0, 0.5, 2.0]),
+                                           tol=tol)
+            assert [v.hex() for v in vals] == list(bits)
 
     def test_nan_integrand_raises_at_the_first_level(self):
         # a NaN panel never meets its tolerance: bisecting it would double it per level.

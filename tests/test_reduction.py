@@ -103,6 +103,54 @@ class TestReduceAt:
         assert len(calls) == state.iterations + 1
 
 
+# (field, k, eps) -> chord steps, then float.hex of the energy offset, the gradient and the
+# length at the field's center, recorded at commit c5d8c30.  A change to the chord's
+# arithmetic shows here first; the residual of test_converges_with_first_order_correction
+# sits at its rounding floor and may flip on such a change without saying why.
+CHORD_CENTERS = {"quadratic": (QUADRATIC, (0.1, 1.9)),
+                 "transcendental": (TRANSCENDENTAL, (0.3, 1.9))}
+CHORD_RECORD = {
+    ("quadratic", 1.3, 0.01): (13, "-0x1.b75c4c5cca94cp+2", "-0x1.1462bac67c484p-10",
+                               "-0x1.50bc2b2aa83a6p-7", "0x1.240f1b245f056p+0"),
+    ("quadratic", 1.3, 0.001): (6, "-0x1.d0d903f48d093p+2", "-0x1.d66f518e4f1b5p-14",
+                                "-0x1.1e3e45c084de1p-10", "0x1.3266503b460c3p+0"),
+    ("quadratic", 2.0, 0.01): (5, "-0x1.1c97983acb56bp-1", "-0x1.413ff779e7c3ap-12",
+                               "-0x1.3747a8046ab9ep-11", "0x1.25924cc6a40fdp-1"),
+    ("quadratic", 2.0, 0.001): (3, "-0x1.1f8d59348dd2ap-1", "-0x1.03491aaa726f1p-15",
+                                "-0x1.f6cbd33aeeaa0p-15", "0x1.276595fa80c7dp-1"),
+    ("quadratic", 3.0, 0.01): (4, "-0x1.73edbd9005e7fp-4", "-0x1.fb8f950b24a5ep-14",
+                               "-0x1.356a274efc89fp-16", "0x1.696c90d8ca2d9p-2"),
+    ("quadratic", 3.0, 0.001): (2, "-0x1.74f8a4595fd15p-4", "-0x1.96fac02771ef6p-17",
+                                "-0x1.f09bb7f108497p-20", "0x1.69fa197ca68d9p-2"),
+    ("transcendental", 1.3, 0.01): (7, "-0x1.d5e3be90cd852p+0", "-0x1.73ef4d4bd6ba5p-9",
+                                    "0x1.871357c1036d5p-10", "0x1.31d2d5d93088fp+0"),
+    ("transcendental", 1.3, 0.001): (4, "-0x1.d683de700b834p+0", "-0x1.2cc47b7ac3302p-12",
+                                     "0x1.3a9bb364a590fp-13", "0x1.33f396f48234dp+0"),
+    ("transcendental", 2.0, 0.01): (5, "-0x1.c489f8865457cp-1", "-0x1.2a09f02ff95b7p-10",
+                                    "0x1.6959794f16f93p-11", "0x1.26346e18f7fc8p-1"),
+    ("transcendental", 2.0, 0.001): (3, "-0x1.c5abaf6ef40bdp-1", "-0x1.e05b2f8443f56p-14",
+                                     "0x1.2352ee5ac5debp-14", "0x1.2776a0687fe4bp-1"),
+    ("transcendental", 3.0, 0.01): (4, "-0x1.be614f2a81404p-2", "-0x1.0ba94063da8d9p-11",
+                                    "0x1.b4513708c7039p-13", "0x1.68b2c1cf5e531p-2"),
+    ("transcendental", 3.0, 0.001): (3, "-0x1.bf90d737e67c2p-2", "-0x1.af01b44805dc2p-15",
+                                     "0x1.6000a4d1b1584p-16", "0x1.69e787d8337dcp-2"),
+}
+
+
+class TestChordRecord:
+    @pytest.mark.parametrize("case", sorted(CHORD_RECORD))
+    def test_steps_and_values_as_recorded(self, case):
+        name, k, eps = case
+        field, z = CHORD_CENTERS[name]
+        steps, *bits = CHORD_RECORD[case]
+        state = reduce_at(eps, z, k, field)
+        got = (reduced_energy_offset(eps, z, k, field, state=state),
+               *reduced_gradient(eps, z, k, field, state=state), state.length)
+        assert state.iterations == steps
+        for value, recorded in zip(got, map(float.fromhex, bits)):
+            assert abs(value - recorded) <= 1e-14 * abs(recorded)
+
+
 class TestReducedFunction:
     def test_gradient_matches_finite_differences(self):
         eps = 1e-2

@@ -9,7 +9,8 @@ checkout, in a fresh temporary directory, with that checkout's `src/` on
 PYTHONPATH and PYTHONDONTWRITEBYTECODE=1.  The built-in cases are the
 README command-line examples, `euclid melnikov` (also at k = 0.25, where
 the flat value rule refines), a transcendental solve, a k = 1.3 solve
-(each solve's loop file verified again) and every script in `demos/`;
+(each solve's loop file verified again), a long correction chord (k = 1.3,
+eps = 0.05), a transcendental `reduce` and every script in `demos/`;
 `--case ARGS`, repeatable, runs those `hyploop` command lines instead.
 The exit code, stdout and stderr of every command, and every file a case
 leaves in its directory, are compared byte for byte.  Prints each
@@ -41,6 +42,10 @@ CASES = {
                "--grid", "12", "--out", "loop.csv"],
               ["verify", "--in", "loop.csv", "--k", "2"]],
     "reduce": [["reduce", "--k", "2", "--eps", "0.01", "--field", QUADRATIC, "--z", "0,2"]],
+    "reduce, long chord": [["reduce", "--k", "1.3", "--eps", "0.05", "--field", QUADRATIC,
+                            "--z", "0,1.5"]],
+    "transcendental reduce": [["reduce", "--k", "2", "--eps", "0.01", "--field", TRANSCENDENTAL,
+                               "--z", "0.3,1.9"]],
     "continue": [["continue", "--k", "2", "--field", QUADRATIC, "--box", BOX,
                   "--eps-list", "0.001,0.01,0.05", "--out", "chain"]],
     "kernel": [["kernel", "--k", "2"]],
