@@ -1,8 +1,9 @@
 """Command-line front end: config parsing, dispatch, machine-readable reports.
 
-Exit codes: 0 success; 2 a nonexistence condition fired or no critical
-point was found; 3 configuration or parse error, or an output that cannot be
-written; 4 numerical failure, or an array too large to allocate.
+Exit codes, all decided in ``main``: 0 success; 2 a nonexistence condition
+fired or no critical point was found; 3 configuration or parse error, or an
+output that cannot be written; 4 numerical failure, or an array too large to
+allocate.  Every run prints at most one JSON report and exactly one stderr line.
 All floating-point output is printed with 17 significant digits, so
 identical configurations produce bit-identical CSV/JSON.
 """
@@ -74,10 +75,9 @@ def to_json(value, indent: int = 0) -> str:
     return json.dumps(value)
 
 
-def emit(command: str, report: dict, summary: str):
-    """The JSON report, headed by the schema and the command, on stdout; the summary on stderr."""
+def emit(command: str, report: dict):
+    """The JSON report, headed by the schema and the command, on stdout."""
     print(to_json({"schema": SCHEMA, "command": command, **report}))
-    print(summary, file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +147,11 @@ def _number(value, key, flag, euclid) -> float:
 
 def _curvature(value, key, flag, euclid) -> float:
     k = _parse_floats(value, 1, flag)[0]
-    if not euclid:
-        try:
-            curvature_radius(k)  # the half-plane bounds on k, stated once
-        except ValueError as exc:
-            raise ConfigError(f"{flag}: {exc}")
-    elif not k > 0:
-        raise ConfigError(f"euclid commands need k > 0, got {k}")
-    elif not np.isfinite(k * k):
-        raise ConfigError(f"{flag} is too large: its square overflows, got {k}")
+    try:
+        # the bounds on k of each plane, stated once in the library
+        (euclidean.check_curvature if euclid else curvature_radius)(k)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}")
     return k
 
 
@@ -195,10 +191,11 @@ SETTINGS = (
     ("grid", "--grid", {"type": int}, _grid, 32),
     ("eps", "--eps", {"type": float}, _number, 0.0),
 )
+SETTINGS_BY_KEY = {row[0]: row for row in SETTINGS}
 
 
 def _build_config(args, euclid: bool = False) -> argparse.Namespace:
-    """The settings of a run: one attribute per SETTINGS key, and ``eps_given``."""
+    """The settings of a run: one attribute per SETTINGS key, ``eps_given`` and ``euclid``."""
     loaded = {}
     if args.config:
         try:
@@ -222,7 +219,7 @@ def _build_config(args, euclid: bool = False) -> argparse.Namespace:
         elif key == "k":
             raise ConfigError("--k is required")
     unset = {key: value for key, *_, value in SETTINGS}
-    return argparse.Namespace(**{**unset, **values}, eps_given="eps" in values)
+    return argparse.Namespace(**{**unset, **values}, eps_given="eps" in values, euclid=euclid)
 
 
 def _parsed_field(cfg):
@@ -235,7 +232,8 @@ def _parsed_field(cfg):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each computes from ``cfg``, whose ``expr`` is the field ``main`` parsed,
+# and returns (report, summary, exit code); ``main`` prints and exits
 # ---------------------------------------------------------------------------
 
 
@@ -259,18 +257,14 @@ def _point_dict(p) -> dict:
     }
 
 
-def _cmd_melnikov(cfg, euclid: bool = False) -> int:
-    if cfg.box is None:
-        raise ConfigError("--box is required for melnikov")
-    expr = _parsed_field(cfg)
+def _cmd_melnikov(cfg):
     out = _output(cfg.out or "melnikov.csv")
-    search = melnikov.find_critical(cfg.k, expr, cfg.box, cfg.grid,
-                                    euclidean.FLAT if euclid else HALFPLANE)
+    search = melnikov.find_critical(cfg.k, cfg.expr, cfg.box, cfg.grid,
+                                    euclidean.FLAT if cfg.euclid else HALFPLANE)
     with Path(out).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["z1", "z2", "F", "dF1", "dF2"])
         writer.writerows([fmt(v) for v in row] for row in zip(*search.grid))
-    command = "euclid melnikov" if euclid else "melnikov"
     report = {
         "k": cfg.k,
         "field": cfg.field,
@@ -282,13 +276,11 @@ def _cmd_melnikov(cfg, euclid: bool = False) -> int:
         "note": search.note,
     }
     if not search.points:
-        emit(command, report, f"no critical point: {search.note}")
-        return EXIT_BLOCKED
-    emit(command, report, f"{len(search.points)} critical point(s); CSV in {out}")
-    return EXIT_OK
+        return report, f"no critical point: {search.note}", EXIT_BLOCKED
+    return report, f"{len(search.points)} critical point(s); CSV in {out}", EXIT_OK
 
 
-def _cmd_kernel(cfg) -> int:
+def _cmd_kernel(cfg):
     rep = kernel_report(cfg.k, cfg.n_samples)
     report = {
         "k": rep.k,
@@ -301,21 +293,22 @@ def _cmd_kernel(cfg) -> int:
             for (m, z, lo, hi) in rep.per_mode
         ],
     }
-    emit("kernel", report,
-         f"kernel dimension {rep.dimension}, sigma_min_nonzero {rep.sigma_min_nonzero:.6g}")
-    return EXIT_OK
+    return (report, f"kernel dimension {rep.dimension}, sigma_min_nonzero "
+                    f"{rep.sigma_min_nonzero:.6g}", EXIT_OK)
 
 
-def _cmd_verify(cfg) -> int:
-    if cfg.infile is None:
-        raise ConfigError("--in is required for verify")
+def _cmd_verify(cfg):
     try:
         loop, meta = load_loop(cfg.infile)
-        field_text = cfg.field if cfg.field is not None else (meta or {}).get("field")
-        eps = cfg.eps if cfg.eps_given else float((meta or {}).get("eps", 0.0))
-    except (OSError, ValueError, TypeError) as exc:
+        meta = meta or {}
+        # the sidecar's field and eps, by the rules of their flags; a flag or config wins
+        field = meta.get("field") if cfg.field is None else cfg.field
+        field_text = None if field is None else _text(field, "field", "--field", False)
+        eps = cfg.eps if cfg.eps_given else _number(meta.get("eps", 0.0), "eps", "sidecar eps",
+                                                    False)
+    except (OSError, ValueError, ConfigError) as exc:
         raise ConfigError(f"cannot read loop {cfg.infile!r}: {exc}")
-    flat = (meta or {}).get("plane") == "flat"  # written by euclid solve
+    flat = meta.get("plane") == "flat"  # written by euclid solve
     _curvature(cfg.k, "k", "--k", flat)
     if not (flat or loop.is_upper):
         raise ConfigError(f"loop {cfg.infile!r} leaves the half-plane (a sample has u2 <= 0)")
@@ -331,22 +324,16 @@ def _cmd_verify(cfg) -> int:
         "defects": asdict(rep),
     }
     if rep.mu == 0 and np.isinf(rep.speed_defect):
-        emit("verify", report, "hyploop: numerical failure: degenerate loop (numerically "
-                               "constant or its speed collapses); defects are null")
-        return EXIT_NUMERICAL
+        return report, ("hyploop: numerical failure: degenerate loop (numerically constant or "
+                        "its speed collapses); defects are null"), EXIT_NUMERICAL
     if not np.isfinite(rep.residual_sup):
-        emit("verify", report, "hyploop: numerical failure: K is not finite on the loop; "
-                               "the residual and curvature defects are null")
-        return EXIT_NUMERICAL
-    emit("verify", report, rep.summary())
-    return EXIT_OK
+        return report, ("hyploop: numerical failure: K is not finite on the loop; "
+                        "the residual and curvature defects are null"), EXIT_NUMERICAL
+    return report, rep.summary(), EXIT_OK
 
 
-def _cmd_reduce(cfg) -> int:
-    if cfg.z is None:
-        raise ConfigError("--z is required for reduce")
-    expr = _parsed_field(cfg)
-    state = reduce_at(cfg.eps, cfg.z, cfg.k, expr, cfg.n_samples)
+def _cmd_reduce(cfg):
+    state = reduce_at(cfg.eps, cfg.z, cfg.k, cfg.expr, cfg.n_samples)
     report = {
         "k": cfg.k,
         "eps": cfg.eps,
@@ -360,18 +347,17 @@ def _cmd_reduce(cfg) -> int:
         "eta_sup": float(np.abs(state.eta).max()),
         "eta_samples": [list(row) for row in state.eta],
     }
-    emit("reduce", report,
-         f"reduced at z={state.z}: t={state.t:.3e}, |theta|={np.abs(state.theta).max():.3e}")
-    return EXIT_OK
+    return (report, f"reduced at z={state.z}: t={state.t:.3e}, "
+                    f"|theta|={np.abs(state.theta).max():.3e}", EXIT_OK)
 
 
-def _blocked_evidence(cfg, expr):
+def _blocked_evidence(cfg):
     """Sampled total-curvature bound: sup |k + eps*K| <= 1 admits no loop.
 
     Returns the nonexistence report of k + eps*K on the sample grid that
     decided, or None when the bound does not hold.
     """
-    total = BinOp("+", Const(cfg.k), BinOp("*", Const(cfg.eps), expr))
+    total = BinOp("+", Const(cfg.k), BinOp("*", Const(cfg.eps), cfg.expr))
     samples = max(cfg.grid, 16)
     g1, g2 = cfg.box.grid(samples)
     if not np.all(np.abs(eval_field(total, g1.ravel(), g2.ravel())) <= 1.0):  # NaN: no bound
@@ -379,13 +365,9 @@ def _blocked_evidence(cfg, expr):
     return check_nonexistence(total, cfg.box, samples)
 
 
-def _cmd_solve(cfg, euclid: bool = False) -> int:
-    if cfg.box is None:
-        raise ConfigError("--box is required for solve")
-    expr = _parsed_field(cfg)
+def _cmd_solve(cfg):
     out = _output(cfg.out or "loop.csv")
-    command = "euclid solve" if euclid else "solve"
-    evidence = None if euclid else _blocked_evidence(cfg, expr)
+    evidence = None if cfg.euclid else _blocked_evidence(cfg)
     if evidence is not None:
         report = {
             "k": cfg.k,
@@ -395,15 +377,13 @@ def _cmd_solve(cfg, euclid: bool = False) -> int:
                        "no such loop exists",
             "nonexistence": asdict(evidence),
         }
-        emit(command, report, "blocked: bounded total curvature (sampled)")
-        return EXIT_BLOCKED
-    solve = euclidean.solve_full_euclid if euclid else solve_full
+        return report, "blocked: bounded total curvature (sampled)", EXIT_BLOCKED
+    solve = euclidean.solve_full_euclid if cfg.euclid else solve_full
     try:
-        result = solve(cfg.eps, cfg.k, expr, cfg.box, cfg.grid, cfg.n_samples)
+        result = solve(cfg.eps, cfg.k, cfg.expr, cfg.box, cfg.grid, cfg.n_samples)
     except NoCritical as exc:
-        emit(command, {"note": str(exc)}, f"no critical point: {exc}")
-        return EXIT_BLOCKED
-    _save_loop(out, cfg, result, euclid)
+        return {"note": str(exc)}, f"no critical point: {exc}", EXIT_BLOCKED
+    _save_loop(out, cfg, result)
     report = {
         "k": cfg.k,
         "eps": result.eps,
@@ -418,26 +398,22 @@ def _cmd_solve(cfg, euclid: bool = False) -> int:
         "t": result.state.t,
         "out": str(out),
     }
-    emit(command, report, f"solved: {result.defects.summary()}; loop in {out}")
-    return EXIT_OK
+    return report, f"solved: {result.defects.summary()}; loop in {out}", EXIT_OK
 
 
-def _save_loop(path, cfg, result, euclid: bool = False):
+def _save_loop(path, cfg, result):
     """The loop of a SolveReport, with the sidecar that ``verify`` reads; a flat one says so."""
     save_loop(path, result.loop, {
         "k": cfg.k, "eps": result.eps, "field": cfg.field, "N": cfg.n_samples,
         "z_critical": list(result.z_critical), "schema": SCHEMA,
-        **({"plane": "flat"} if euclid else {}),
+        **({"plane": "flat"} if cfg.euclid else {}),
     })
 
 
-def _cmd_continue(cfg) -> int:
-    if cfg.box is None or not cfg.eps_list:
-        raise ConfigError("--box and --eps-list are required for continue")
-    expr = _parsed_field(cfg)
+def _cmd_continue(cfg):
     out_prefix = cfg.out or "continued"
     _output(f"{out_prefix}_0.csv")
-    result = continue_eps(cfg.k, expr, cfg.box, cfg.eps_list, cfg.grid, cfg.n_samples)
+    result = continue_eps(cfg.k, cfg.expr, cfg.box, cfg.eps_list, cfg.grid, cfg.n_samples)
     solved = []
     for i, rep in enumerate(result.reports):
         path = f"{out_prefix}_{i}.csv"
@@ -459,11 +435,9 @@ def _cmd_continue(cfg) -> int:
         ),
     }
     if not result.reports:
-        emit("continue", report, f"continuation failed at the first target: {result.failure}")
-        return EXIT_NUMERICAL
-    emit("continue", report,
-         f"continuation solved {len(solved)} target(s), eps_bar={result.eps_bar:g}")
-    return EXIT_OK
+        return report, f"continuation failed at the first target: {result.failure}", EXIT_NUMERICAL
+    return (report, f"continuation solved {len(solved)} target(s), "
+                    f"eps_bar={result.eps_bar:g}", EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -471,27 +445,28 @@ def _cmd_continue(cfg) -> int:
 # ---------------------------------------------------------------------------
 
 
-# subcommand: (handler, help, setting keys in --help order); the flat-plane
-# variants under "euclid" take the settings of their half-plane namesakes
+# subcommand: (handler, help, setting keys in --help order, required setting keys); the
+# flat-plane variants under "euclid" take the settings of their half-plane namesakes
 COMMANDS = {
     "solve": (_cmd_solve, "solve for a prescribed-curvature loop",
-              ("k", "eps", "field", "box", "grid", "n_samples", "out")),
+              ("k", "eps", "field", "box", "grid", "n_samples", "out"), ("box", "field")),
     "reduce": (_cmd_reduce, "one correction solve at fixed (eps, z)",
-               ("k", "eps", "field", "n_samples", "z")),
+               ("k", "eps", "field", "n_samples", "z"), ("z", "field")),
     "continue": (_cmd_continue, "warm-started continuation in eps",
-                 ("k", "field", "box", "grid", "n_samples", "out", "eps_list")),
+                 ("k", "field", "box", "grid", "n_samples", "out", "eps_list"),
+                 ("box", "eps_list", "field")),
     "melnikov": (_cmd_melnikov, "disk-average landscape and critical points",
-                 ("k", "field", "box", "grid", "out")),
-    "kernel": (_cmd_kernel, "frequency-block kernel survey", ("k", "n_samples")),
-    "verify": (_cmd_verify, "re-verify a stored loop", ("k", "eps", "field", "infile")),
+                 ("k", "field", "box", "grid", "out"), ("box", "field")),
+    "kernel": (_cmd_kernel, "frequency-block kernel survey", ("k", "n_samples"), ()),
+    "verify": (_cmd_verify, "re-verify a stored loop", ("k", "eps", "field", "infile"),
+               ("infile",)),
 }
 
 
 def _add_settings(p, keys):
     p.add_argument("--config", help="JSON file with setting keys; flags override it")
-    rows = {row[0]: row for row in SETTINGS}
     for key in keys:
-        _, flag, options, *_ = rows[key]
+        _, flag, options, *_ = SETTINGS_BY_KEY[key]
         p.add_argument(flag, dest=key, **options)
 
 
@@ -500,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every later ``main`` call."""
     parser = _Parser(prog="hyploop", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, keys) in COMMANDS.items():
+    for name, (_, help_text, keys, _) in COMMANDS.items():
         _add_settings(sub.add_parser(name, help=help_text), keys)
     eu = sub.add_parser("euclid", help="flat-plane variants").add_subparsers(
         dest="euclid_command", required=True
@@ -511,30 +486,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run a command: check its required settings and field, print what it returns, exit once."""
     args = build_parser().parse_args(argv)
     euclid = args.command == "euclid"
+    name = args.euclid_command if euclid else args.command
+    handler, _, _, required = COMMANDS[name]
     try:
         cfg = _build_config(args, euclid=euclid)
-        handler = COMMANDS[args.euclid_command if euclid else args.command][0]
+        needed = [key for key in required if key != "field"]
+        if any(getattr(cfg, key) in (None, ()) for key in needed):  # () is an empty --eps-list
+            raise ConfigError(f"{' and '.join(SETTINGS_BY_KEY[key][1] for key in needed)} "
+                              f"{'are' if len(needed) > 1 else 'is'} required for {name}")
         # overflow and NaN reach the user as one error line, not as numpy warnings:
         # the NaN checks of the correction solve and the quadratures still fire
         with np.errstate(all="ignore"):
-            return handler(cfg, euclid=True) if euclid else handler(cfg)
+            cfg.expr = _parsed_field(cfg) if "field" in required else None
+            report, summary, code = handler(cfg)
+        emit(f"euclid {name}" if euclid else name, report)  # stdout may fail: exit 3 below
     except (ConfigError, FieldSyntaxError) as exc:
-        print(f"hyploop: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        summary, code = f"hyploop: config error: {exc}", EXIT_CONFIG
     except NoCritical as exc:
-        print(f"hyploop: {exc}", file=sys.stderr)
-        return EXIT_BLOCKED
+        summary, code = f"hyploop: {exc}", EXIT_BLOCKED
     except HyploopError as exc:
-        print(f"hyploop: numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:  # reading an input raises ConfigError: this is an output
-        print(f"hyploop: config error: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        summary, code = f"hyploop: numerical failure: {type(exc).__name__}: {exc}", EXIT_NUMERICAL
+    except OSError as exc:  # reading an input raises ConfigError: this is an output or stdout
+        summary, code = f"hyploop: config error: cannot write output: {exc}", EXIT_CONFIG
     except MemoryError as exc:
-        print(f"hyploop: numerical failure: out of memory: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        summary, code = f"hyploop: numerical failure: out of memory: {exc}", EXIT_NUMERICAL
+    print(summary, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -26,10 +26,17 @@ from .melnikov import NR_DEFAULT, VALUE_RTOL, _boundary_gradient, _per_center
 from .reduction import ProblemBase, SolveReport, solve_generic
 
 
-def reference_circle(k: float, n: int = 256) -> Loop:
-    """The curvature-k circle x/k about the origin."""
+def check_curvature(k: float):
+    """Every flat path checks k here: k > 0 and k**2 finite (the disk rules divide by it)."""
     if not k > 0:
         raise ValueError(f"Euclidean curvature needs k > 0, got {k}")
+    if not np.isfinite(float(k) * float(k)):
+        raise ValueError(f"curvature k = {k} is too large: k**2 overflows")
+
+
+def reference_circle(k: float, n: int = 256) -> Loop:
+    """The curvature-k circle x/k about the origin."""
+    check_curvature(k)
     return Loop.from_function(
         lambda theta: np.column_stack((np.cos(theta), np.sin(theta))) / k, n
     )
@@ -105,6 +112,8 @@ def melnikov_grid_euclid(z1, z2, k: float, field):
     center when |Q_n - Q_n/2| is at most VALUE_RTOL max(1, |F|) or the
     rounding of K, from n = NR_DEFAULT up to 8 NR_DEFAULT.
     """
+    check_curvature(k)
+
     def rule(z1, z2, n, evaluate):
         q, w = zip(*(disk_rule(m, 2 * m) for m in (32, 64, 128, 256, 512) if m <= n))
         q, half, w = np.concatenate(q) / k, w[-2] / k**2, w[-1] / k**2
@@ -125,6 +134,7 @@ def melnikov_grid_euclid(z1, z2, k: float, field):
 
 def melnikov_gradient_grid_euclid(z1, z2, k: float, field):
     """(dF/dz1, dF/dz2) on arrays of centers: the integral of K(p) nu ds over the circle."""
+    check_curvature(k)
     return _boundary_gradient(z1, z2, field, lift=1.0, r0=1.0 / k, r1=0.0, curved=False)
 
 

@@ -383,9 +383,12 @@ def verify_solution(u: Loop, k: float, eps: float = 0.0, field=None,
 
     Reports the residual sup-norm, the constant-speed defect, the pointwise
     curvature defect against k + eps*K(u), the three Killing pairings, the
-    winding multiplicity, and the embeddedness flag.
+    winding multiplicity, and the embeddedness flag.  A loop with a
+    non-finite sample gets the degenerate report, all defects inf.
     """
     try:
+        if not np.isfinite(u.samples).all():
+            raise DegenerateLoop("loop has a non-finite sample")
         h = geometry.height(u)
         _require_nonconstant(u)
         up = u.deriv(1)
@@ -466,9 +469,10 @@ def save_loop(path, u: Loop, meta: dict | None = None):
 def load_loop(path) -> tuple[Loop, dict | None]:
     """Read a loop CSV and its sidecar (if present).
 
-    Raises ValueError unless the rows carry j = 0..N-1, each once, and N
-    equals the sidecar's "N" when the sidecar gives one; a truncated or
-    spliced file is rejected instead of read as a smaller loop.
+    Raises ValueError unless the rows carry j = 0..N-1, each once, with
+    finite samples, and N equals the sidecar's "N" when the sidecar gives
+    one; a truncated or spliced file is rejected instead of read as a
+    smaller loop.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -492,4 +496,6 @@ def load_loop(path) -> tuple[Loop, dict | None]:
         if "N" in meta and meta["N"] != n:
             raise ValueError(f"{path} has {n} samples but its sidecar says N = {meta['N']}")
     samples = np.array([[r[1], r[2]] for r in rows])
+    if not np.isfinite(samples).all():
+        raise ValueError(f"{path} has a sample u1 or u2 that is not finite")
     return Loop(samples), meta

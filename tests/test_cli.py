@@ -288,6 +288,42 @@ class TestSolveVerifyRoundTrip:
         save_loop(path, reference_loop(2.0, 64) - [0.0, 1.0], {"k": 2.0})
         assert "half-plane" in self._verify_exits_3(capsys, path)
 
+    @pytest.mark.parametrize("column", [3, 4])  # u1, u2
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_verify_rejects_a_non_finite_sample(self, capsys, loop_file, column, value):
+        lines = loop_file.read_text().splitlines(keepends=True)
+        row = lines[6].split(",")
+        row[column] = value + ("\n" if column == 4 else "")
+        lines[6] = ",".join(row)
+        loop_file.write_text("".join(lines))
+        err = self._verify_exits_3(capsys, loop_file)
+        assert err.count("\n") == 1
+        assert err.startswith(f"hyploop: config error: cannot read loop {str(loop_file)!r}: ")
+        assert "not finite" in err
+
+    @pytest.mark.parametrize("sidecar,message", [
+        ({"field": 3}, "config key 'field' must be text, got 3"),
+        ({"field": "z1", "eps": True}, "sidecar eps must be comma-separated numbers, got True"),
+        ({"field": "z1", "eps": "nan"}, "sidecar eps must be finite, got 'nan'"),
+    ])
+    def test_verify_reads_the_sidecar_by_the_setting_rules(self, capsys, loop_file, sidecar,
+                                                            message):
+        loop_file.with_suffix(".json").write_text(json.dumps({"k": 2.0, "N": 64, **sidecar}))
+        code, out, err = run(capsys, "verify", "--in", str(loop_file), "--k", "2")
+        assert (code, out) == (3, "")
+        assert err == f"hyploop: config error: cannot read loop {str(loop_file)!r}: {message}\n"
+
+    def test_verify_flags_and_config_win_over_a_bad_sidecar(self, capsys, loop_file, tmp_path):
+        loop_file.with_suffix(".json").write_text('{"k": 2.0, "N": 64, "field": 3, "eps": "nan"}')
+        (tmp_path / "run.json").write_text('{"field": "z1", "eps": 0.01}')
+        by_flags = run(capsys, "verify", "--in", str(loop_file), "--k", "2",
+                       "--field", "z1", "--eps", "0.01")
+        by_config = run(capsys, "verify", "--in", str(loop_file), "--k", "2",
+                        "--config", str(tmp_path / "run.json"))
+        assert by_flags == by_config and by_flags[0] == 0
+        report = json.loads(by_flags[1])
+        assert (report["field"], report["eps"]) == ("z1", 0.01)
+
     def test_solve_blocked_by_bounded_total_curvature(self, capsys, tmp_path):
         # k + eps*K stays inside [-1, 1] on the sampled box: refuse before Newton
         code, out, _ = run(
@@ -560,7 +596,7 @@ class TestConfigHandling:
         (("melnikov", "--k", "0.5", "--field", "1", "--box", "-1,1,-1,3"), None,
          "--k: hyperbolic constant curvature needs k >= 1 + 1e-05, got 0.5"),
         (("euclid", "melnikov", "--k", "0", "--field", "1", "--box", "1,-1,1,3"), None,
-         "euclid commands need k > 0, got 0.0"),
+         "--k: Euclidean curvature needs k > 0, got 0.0"),
         (("solve", "--k", "2", "--field", "1", "--box", "1,-1,1,3", "--n-samples", "100"), None,
          "RegionBox needs z1min < z1max and 0 < z2min < z2max, got "
          "RegionBox(z1min=1.0, z1max=-1.0, z2min=1.0, z2max=3.0)"),
@@ -580,7 +616,7 @@ class TestConfigHandling:
         (("reduce", "--k", "1e200", "--field", "1", "--z", "0,2"), None,
          "--k: curvature k = 1e+200 is too large: k**2 overflows"),
         (("euclid", "solve", "--k", "1e200", "--field", "1", "--box", "-1,1,-1,1"), None,
-         "--k is too large: its square overflows, got 1e+200"),
+         "--k: curvature k = 1e+200 is too large: k**2 overflows"),
         # a JSON true or false is not a number, and an integer past the float range is none
         (("reduce",), {"eps": True, "k": 2, "field": "0.001*z1", "z": "0,2"},
          "--eps must be comma-separated numbers, got True"),
@@ -692,6 +728,16 @@ class TestResourceErrors:
         assert code == 3 and out == ""
         assert err.startswith("hyploop: config error: cannot write output: [Errno 20] ")
 
+    def test_unwritable_stdout_exits_3(self, capsys, monkeypatch):
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Closed())
+        assert main(["kernel", "--k", "2", "--n-samples", "8"]) == 3
+        assert capsys.readouterr().err == ("hyploop: config error: cannot write output: "
+                                           "[Errno 32] Broken pipe\n")
+
     def test_too_deep_field_exits_3(self, capsys):
         code, out, err = run(capsys, "reduce", "--k", "2", "--eps", "0.01", "--z", "0,2",
                              "--field", "+".join(["z1"] * (fields.MAX_DEPTH + 1)))
@@ -709,6 +755,51 @@ class TestResourceErrors:
         assert code == 4 and out == ""
         assert err == ("hyploop: numerical failure: out of memory: "
                        "Unable to allocate a 200000 x 200000 grid\n")
+
+
+BOX = "-0.6,0.6,1.2,2.8"
+SOLVE = ("solve", "--k", "2", "--eps", "0.01", "--field", QUADRATIC, "--box", BOX,
+         "--grid", "8", "--n-samples", "128")
+
+
+class TestOutputContract:
+    """Every exit prints one JSON report headed by schema and command, or none when an
+    exception decided the exit, and exactly one line on stderr."""
+
+    @pytest.mark.parametrize("steps,codes", [
+        ([("melnikov", "--k", "2", "--field", "z1", "--box", BOX, "--grid", "4")], [2]),
+        ([("solve", "--k", "1.001", "--eps", "-0.01", "--field", "1", "--box", BOX,
+           "--grid", "4")], [2]),  # blocked by the total-curvature bound
+        ([("solve", "--k", "2", "--eps", "0.01", "--field", "z1", "--box", BOX,
+           "--grid", "4")], [2]),  # no critical point
+        ([("continue", "--k", "2", "--field", QUADRATIC, "--box", BOX, "--eps-list", "5")],
+         [4]),
+        ([SOLVE, ("verify", "--in", "loop.csv", "--k", "2", "--field", "exp(1000*z2)")],
+         [0, 4]),
+        ([("euclid", "solve", "--k", "2", "--eps", "0.01", "--field", QUADRATIC,
+           "--box", "-0.6,0.6,1.4,2.6"), ("verify", "--in", "loop.csv", "--k", "2")], [0, 0]),
+    ], ids=["melnikov-none", "solve-blocked", "solve-none", "continue-fails",
+            "verify-K-not-finite", "euclid-solve-verify"])
+    def test_one_report_and_one_summary_line(self, capsys, tmp_path, monkeypatch, steps, codes):
+        monkeypatch.chdir(tmp_path)
+        for argv, expected in zip(steps, codes):
+            code, out, err = run(capsys, *argv)
+            assert code == expected and err.count("\n") == 1 and err.endswith("\n"), err
+            report = json.loads(out, parse_constant=reject_constant)
+            assert out.endswith("}\n") and isinstance(report, dict)
+            command = " ".join(argv[:2]) if argv[0] == "euclid" else argv[0]
+            assert list(report)[:2] == ["schema", "command"]
+            assert (report["schema"], report["command"]) == (cli.SCHEMA, command)
+
+    @pytest.mark.parametrize("argv,expected", [
+        (("solve", "--k", "2", "--field", QUADRATIC), 3),  # --box is required
+        (("melnikov", "--k", "2", "--field", "log(z1-5)", "--box", BOX, "--grid", "4"), 4),
+    ], ids=["config-error", "numerical-error"])
+    def test_a_raised_exit_prints_only_its_line(self, capsys, tmp_path, monkeypatch, argv,
+                                                 expected):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (expected, "", 1) and err.endswith("\n")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

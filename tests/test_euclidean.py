@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,19 @@ class TestReferenceCircle:
         expect = 1 / K - K / (2 * K**2)
         assert energy(reference_circle(K, 64), K, geometry=FLAT).total == pytest.approx(
             expect, abs=1e-14)
+
+
+class TestCurvatureCheck:
+    @pytest.mark.parametrize("call", [
+        lambda k: find_critical(k, "z1^2 + z2^2", PlaneBox(-1, 1, -1, 1), 4, geometry=FLAT),
+        lambda k: melnikov_value((0.1, 0.2), k, "z1^2", geometry=FLAT),
+        lambda k: reference_circle(k, 64),
+    ], ids=["find_critical", "melnikov_value", "reference_circle"])
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan, 1e200],
+                             ids=["zero", "negative", "nan", "square-overflows"])
+    def test_every_flat_path_refuses_a_bad_k_naming_it(self, call, k):
+        with pytest.raises(ValueError, match=rf"\bk\b.*{re.escape(str(k))}"):
+            call(k)
 
 
 class TestKernel:

@@ -449,6 +449,17 @@ class TestVerify:
         killing = [(w * (x * iup).sum(axis=1)).mean() for x in geometry.killing(u.samples)]
         assert np.array_equal(rep.killing, killing)
 
+    @pytest.mark.parametrize("geometry", [HALFPLANE, FLAT], ids=["halfplane", "flat"])
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_gets_the_degenerate_report(self, geometry, column, value):
+        samples = reference_loop(2.0, 64).samples.copy()
+        samples[5, column] = value
+        rep = verify_solution(Loop(samples), 2.0, 0.01, QUADRATIC, geometry)
+        assert (rep.mu, rep.embedded, rep.length) == (0, False, 0.0)
+        assert np.isposinf([rep.residual_sup, rep.speed_defect, rep.curvature_defect,
+                            *rep.killing]).all()
+
     def test_winding_of_reference(self):
         assert winding_number(reference_loop(3.0, 64)) == 1
 
@@ -714,6 +725,16 @@ class TestLoopIO:
         assert load_loop(path)[0].n == 64
         path.write_text("".join(lines[:1] + lines[2:] + lines[2:3]))  # j = 1 twice, no j = 0
         with pytest.raises(ValueError, match="0..63"):
+            load_loop(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_rejected(self, tmp_path, value):
+        path = tmp_path / "loop.csv"
+        save_loop(path, reference_loop(2.0, 64), {"k": 2.0})
+        lines = path.read_text().splitlines(keepends=True)
+        lines[9] = ",".join([*lines[9].split(",")[:3], value, "2.0\n"])
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="not finite"):
             load_loop(path)
 
     def test_header_validated(self, tmp_path):

@@ -9,9 +9,12 @@ checkout, in a fresh temporary directory, with that checkout's `src/` on
 PYTHONPATH and PYTHONDONTWRITEBYTECODE=1.  The built-in cases are the
 README command-line examples, `euclid melnikov` (also at k = 0.25, where
 the flat value rule refines), a transcendental solve, a k = 1.3 solve
-(each solve's loop file verified again), a long correction chord (k = 1.3,
-eps = 0.05), a transcendental `reduce` and every script in `demos/`;
-`--case ARGS`, repeatable, runs those `hyploop` command lines instead.
+(each solve's loop file verified again, the flat one too), a long
+correction chord (k = 1.3, eps = 0.05), a transcendental `reduce`, every
+non-zero exit that prints a report (no critical point, a blocked solve, a
+failed first continuation target, K not finite on a verified loop) and
+every script in `demos/`; `--case ARGS`, repeatable, runs those `hyploop`
+command lines instead.
 The exit code, stdout and stderr of every command, and every file a case
 leaves in its directory, are compared byte for byte.  Prints each
 difference and exits 1 if there is one, else prints the number of
@@ -40,7 +43,8 @@ CASES = {
     "melnikov": [["melnikov", "--k", "2", "--field", QUADRATIC, "--box", BOX, "--grid", "16"]],
     "solve": [["solve", "--k", "2", "--eps", "0.01", "--field", QUADRATIC, "--box", BOX,
                "--grid", "12", "--out", "loop.csv"],
-              ["verify", "--in", "loop.csv", "--k", "2"]],
+              ["verify", "--in", "loop.csv", "--k", "2"],
+              ["verify", "--in", "loop.csv", "--k", "2", "--field", "exp(1000*z2)"]],  # exit 4
     "reduce": [["reduce", "--k", "2", "--eps", "0.01", "--field", QUADRATIC, "--z", "0,2"]],
     "reduce, long chord": [["reduce", "--k", "1.3", "--eps", "0.05", "--field", QUADRATIC,
                             "--z", "0,1.5"]],
@@ -50,7 +54,8 @@ CASES = {
                   "--eps-list", "0.001,0.01,0.05", "--out", "chain"]],
     "kernel": [["kernel", "--k", "2"]],
     "euclid solve": [["euclid", "solve", "--k", "2", "--eps", "0.01", "--field", QUADRATIC,
-                      "--box", "-0.6,0.6,1.4,2.6"]],
+                      "--box", "-0.6,0.6,1.4,2.6"],
+                     ["verify", "--in", "loop.csv", "--k", "2"]],
     "euclid melnikov": [["euclid", "melnikov", "--k", "2", "--field", QUADRATIC,
                          "--box", "-0.6,0.6,1.4,2.6", "--grid", "8"]],
     "euclid melnikov, small k": [["euclid", "melnikov", "--k", "0.25", "--field", TRANSCENDENTAL,
@@ -61,6 +66,15 @@ CASES = {
     "k = 1.3 solve": [["solve", "--k", "1.3", "--eps", "0.01", "--field", QUADRATIC,
                        "--box", BOX, "--grid", "12", "--out", "loop.csv"],
                       ["verify", "--in", "loop.csv", "--k", "1.3"]],
+    # the other report-printing exits: 2 (no critical point, blocked) and 4
+    "melnikov, no critical point": [["melnikov", "--k", "2", "--field", "z1", "--box", BOX,
+                                     "--grid", "4"]],
+    "solve, blocked": [["solve", "--k", "1.001", "--eps", "-0.01", "--field", "1", "--box", BOX,
+                        "--grid", "4"]],
+    "solve, no critical point": [["solve", "--k", "2", "--eps", "0.01", "--field", "z1",
+                                  "--box", BOX, "--grid", "4"]],
+    "continue, first target fails": [["continue", "--k", "2", "--field", QUADRATIC, "--box", BOX,
+                                      "--eps-list", "5"]],
     **{name: [[f"demos/{name}.py"]] for name in DEMOS},
 }
 
