@@ -222,11 +222,11 @@ def _build_config(args, euclid: bool = False) -> argparse.Namespace:
     return argparse.Namespace(**{**unset, **values}, eps_given="eps" in values, euclid=euclid)
 
 
-def _parsed_field(cfg):
-    if cfg.field is None:
+def _parsed_field(text):
+    if text is None:
         raise ConfigError("--field is required for this command")
     try:
-        return parse_field(cfg.field)
+        return parse_field(text)
     except FieldSyntaxError as exc:
         raise ConfigError(f"bad field text: {exc}")
 
@@ -312,7 +312,7 @@ def _cmd_verify(cfg):
     _curvature(cfg.k, "k", "--k", flat)
     if not (flat or loop.is_upper):
         raise ConfigError(f"loop {cfg.infile!r} leaves the half-plane (a sample has u2 <= 0)")
-    expr = parse_field(field_text) if field_text else None
+    expr = _parsed_field(field_text) if field_text else None
     if expr is None:
         eps = 0.0
     rep = verify_solution(loop, cfg.k, eps, expr, euclidean.FLAT if flat else HALFPLANE)
@@ -500,7 +500,7 @@ def main(argv=None) -> int:
         # overflow and NaN reach the user as one error line, not as numpy warnings:
         # the NaN checks of the correction solve and the quadratures still fire
         with np.errstate(all="ignore"):
-            cfg.expr = _parsed_field(cfg) if "field" in required else None
+            cfg.expr = _parsed_field(cfg.field) if "field" in required else None
             report, summary, code = handler(cfg)
         emit(f"euclid {name}" if euclid else name, report)  # stdout may fail: exit 3 below
     except (ConfigError, FieldSyntaxError) as exc:

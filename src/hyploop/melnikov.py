@@ -24,10 +24,12 @@ trapezoid rule whose even nodes lead and check it per center on their gap
 alone; no derivative of K is needed.  The critical-point search (grid
 scan + Newton refinement + Hessian classification) works from grad F and
 evaluates F only at the node of largest |grad F|, for its rounding scale,
-and at each point it reports.  ``find_critical`` adds F at every node, the
-landscape of ``hyploop melnikov``; ``critical_point``, the seed of a solve,
-does not.  Search, seed choice and single values take a ``Geometry``
-record for the flat plane.
+and at each point it reports.  Each Newton iterate is one gradient call on
+five centers, z and z +- h e_i, for grad F at z and its symmetrized
+central-difference Hessian (``MelnikovSample.hess``).  ``find_critical``
+adds F at every node, the landscape of ``hyploop melnikov``;
+``critical_point``, the seed of a solve, does not.  Search, seed choice and
+single values take a ``Geometry`` record for the flat plane.
 """
 
 from __future__ import annotations
@@ -226,14 +228,17 @@ class CriticalSearch:
     grid: tuple[np.ndarray, ...]
 
 
-def _fd_jacobian(grad_fn, z):
-    h, cols = 1e-5 * max(1.0, float(np.hypot(*z))), []
-    for axis in range(2):
-        dz = np.zeros(2)
-        dz[axis] = h
-        cols.append((grad_fn(z + dz) - grad_fn(z - dz)) / (2.0 * h))
-    jac = np.column_stack(cols)
-    return 0.5 * (jac + jac.T)
+def _gradient_and_hessian(grad_grid_fn, z):
+    """grad F at z and its symmetrized central-difference Hessian, from one five-center call.
+
+    The centers are z, z + h e_i and z - h e_i with h = 1e-5 max(1, |z|); a
+    center's row is bitwise that of a one-center call.
+    """
+    h = 1e-5 * max(1.0, float(np.hypot(*z)))
+    dz = h * np.eye(2)
+    grad = np.column_stack(grad_grid_fn(*np.vstack((z, z + dz, z - dz)).T))
+    jac = (grad[1:3] - grad[3:5]) / (2.0 * h)  # row i: the difference along e_i
+    return grad[0], 0.5 * (jac + jac.T)
 
 
 def _classify(hess: np.ndarray) -> str:
@@ -248,33 +253,33 @@ def _classify(hess: np.ndarray) -> str:
     return "saddle"
 
 
-def _newton_refine(grad_fn, z0, lower_z2, bounds, tol):
+def _newton_refine(grad_grid_fn, z0, lower_z2, bounds, tol):
     """Newton on the gradient down to ``tol``; a root only counts inside the inflated region.
 
-    Asymptotically flat fields drive Newton far outside the box, where the
-    gradient decays below tolerance without an actual zero; such escapes
-    are rejected rather than reported.  Returns (z, converged, gradient at z).
+    Each iterate costs one five-center gradient call, ``_gradient_and_hessian``,
+    which gives grad F and the difference Hessian at z.  Asymptotically flat
+    fields drive Newton far outside the box, where the gradient decays below
+    tolerance without an actual zero; such escapes are rejected rather than
+    reported.  Returns (z, converged, gradient at z, Hessian at z).
     """
     (lo1, hi1), (lo2, hi2) = bounds
     z = np.asarray(z0, dtype=float).copy()
-    for _ in range(NEWTON_MAXIT):
-        g = grad_fn(z)
-        if np.hypot(*g) < tol:
-            return z, True, g
-        jac = _fd_jacobian(grad_fn, z)
+    for it in range(NEWTON_MAXIT + 1):
+        g, hess = _gradient_and_hessian(grad_grid_fn, z)
+        converged = bool(np.hypot(*g) < tol)
+        if converged or it == NEWTON_MAXIT:
+            return z, converged, g, hess
         try:
-            step = np.linalg.solve(jac, -g)
+            step = np.linalg.solve(hess, -g)
         except np.linalg.LinAlgError:
-            return z, False, g
+            return z, False, g, hess
         for _ in range(20):
             if z[1] + step[1] > lower_z2:
                 break
             step = 0.5 * step
         z = z + step
         if not (lo1 <= z[0] <= hi1 and lo2 <= z[1] <= hi2):
-            return z, False, None
-    g = grad_fn(z)
-    return z, bool(np.hypot(*g) < tol), g
+            return z, False, None, None
 
 
 def _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value):
@@ -293,10 +298,6 @@ def _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value):
     if gnorm.max() <= 1e-12 * vscale:
         return (), "F constant, no critical point"
 
-    def grad_fn(z):
-        a, b = grad_grid_fn(np.array([z[0]]), np.array([z[1]]))
-        return np.array([a[0], b[0]])
-
     windows = sliding_window_view(np.pad(gnorm, 1, constant_values=np.inf), (3, 3))
     neighborhood = gnorm <= windows.min(axis=(2, 3))  # no larger than any of its 8 neighbours
 
@@ -306,12 +307,9 @@ def _refine(value_grid_fn, grad_grid_fn, region, lower_z2, scan, top_value):
     points: list[MelnikovSample] = []
     for i, j in np.argwhere(neighborhood):
         z0 = np.array([g1[i, j], g2[i, j]])
-        z, ok, grad = _newton_refine(grad_fn, z0, lower_z2, bounds, tol)
-        if not ok:
+        z, ok, grad, hess = _newton_refine(grad_grid_fn, z0, lower_z2, bounds, tol)
+        if not ok or any(np.hypot(*(z - np.asarray(p.z))) < 1e-6 for p in points):
             continue
-        if any(np.hypot(*(z - np.asarray(p.z))) < 1e-6 for p in points):
-            continue
-        hess = _fd_jacobian(grad_fn, z)
         value = float(value_grid_fn(np.array([z[0]]), np.array([z[1]]))[0])
         points.append(MelnikovSample((float(z[0]), float(z[1])), value, grad, hess,
                                      _classify(hess)))

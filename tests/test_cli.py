@@ -151,9 +151,13 @@ class TestMelnikovCommand:
         centers = list(zip(z1, z2))
         values = [c for call in calls["value"] for c in call]
         assert all(values.count(c) == 1 for c in centers)
-        # Newton's one-center calls start from grid nodes; the scan itself is one batch
-        batches = [call for call in calls["gradient"] if len(call) > 1]
-        assert batches == [centers]
+        # the grid is one call, the scan; every other call is one Newton iterate
+        # on five centers: a point z and its four neighbours z +- h e_i
+        scan, *newton = calls["gradient"]
+        assert scan == centers and newton
+        for call in newton:
+            (a, b), h = call[0], 1e-5 * max(1.0, np.hypot(*call[0]))
+            assert call == [(a, b), (a + h, b), (a, b + h), (a - h, b), (a, b - h)]
         assert all(len(call) == 1 for call in calls["value"][1:])
 
 
@@ -323,6 +327,18 @@ class TestSolveVerifyRoundTrip:
         assert by_flags == by_config and by_flags[0] == 0
         report = json.loads(by_flags[1])
         assert (report["field"], report["eps"]) == ("z1", 0.01)
+
+    @pytest.mark.parametrize("source", ["flag", "sidecar"])
+    def test_verify_reports_a_bad_field_as_every_command_does(self, capsys, loop_file, source):
+        _, _, want = run(capsys, "melnikov", "--k", "2", "--field", "z1+",
+                         "--box", "-0.6,0.6,1.2,2.8")
+        assert want.startswith("hyploop: config error: bad field text: ")
+        if source == "flag":
+            got = run(capsys, "verify", "--in", str(loop_file), "--k", "2", "--field", "z1+")
+        else:
+            loop_file.with_suffix(".json").write_text('{"k": 2.0, "N": 64, "field": "z1+"}')
+            got = run(capsys, "verify", "--in", str(loop_file), "--k", "2")
+        assert got == (3, "", want)
 
     def test_solve_blocked_by_bounded_total_curvature(self, capsys, tmp_path):
         # k + eps*K stays inside [-1, 1] on the sampled box: refuse before Newton

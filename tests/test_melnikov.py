@@ -408,6 +408,47 @@ class TestCriticalSearch:
         assert np.abs(search.points[0].grad).max() < 1e-10
 
 
+class TestNewtonIterate:
+    """Each Newton iterate is one gradient call on a point and its four +-h neighbours."""
+
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_one_scan_and_one_five_center_call_per_iterate(self, plane, monkeypatch):
+        grad_grid, curved = PLANES[plane]
+        module, name = melnikov if curved else euclidean, grad_grid.__name__
+        sizes = []
+
+        def counted(z1, z2, *args, _fn=grad_grid):
+            sizes.append(np.size(z1))
+            return _fn(z1, z2, *args)
+
+        monkeypatch.setattr(module, name, counted)
+        search = find_critical(2.0, QUADRATIC, TestCriticalSearch.BOX, grid=12,
+                               geometry=HALFPLANE if curved else FLAT)
+        assert [p.classification for p in search.points] == ["min"]
+        assert sizes == [12**2] + [5] * 4
+
+    @pytest.mark.parametrize("plane", PLANES)
+    def test_hessian_is_the_central_difference_of_one_center_calls(self, plane):
+        grad_grid, curved = PLANES[plane]
+        search = find_critical(3.0, "sin(2*z1)*cos(2*z2)", RegionBox(-1.5, 1.5, 1.2, 2.8), grid=8,
+                               geometry=HALFPLANE if curved else FLAT)
+        assert len(search.points) >= 5
+
+        def gradient(z):
+            return np.ravel(grad_grid([z[0]], [z[1]], 3.0, "sin(2*z1)*cos(2*z2)"))
+
+        for p in search.points:
+            z = np.array(p.z)
+            h, cols = 1e-5 * max(1.0, float(np.hypot(*z))), []
+            for axis in range(2):
+                dz = np.zeros(2)
+                dz[axis] = h
+                cols.append((gradient(z + dz) - gradient(z - dz)) / (2.0 * h))
+            jac = np.column_stack(cols)
+            assert p.hess.tobytes() == (0.5 * (jac + jac.T)).tobytes()
+            assert p.grad.tobytes() == gradient(z).tobytes()
+
+
 SEARCH_FIELDS = TEST_FIELDS + [
     "1e6", "1e6 + z1^2 + (z2-2)^2", "1e8 + z1^2 + (z2-2)^2", "-3e5 + " + TRANSCENDENTAL,
 ]

@@ -8,7 +8,10 @@ that each hold `src/hyploop` and `demos/`.  Each case runs once per
 checkout, in a fresh temporary directory, with that checkout's `src/` on
 PYTHONPATH and PYTHONDONTWRITEBYTECODE=1.  The built-in cases are the
 README command-line examples, `euclid melnikov` (also at k = 0.25, where
-the flat value rule refines), a transcendental solve, a k = 1.3 solve
+the flat value rule refines), three multi-start critical-point searches
+(`melnikov` of sin(2 z1) cos(2 z2) at k = 3 and grid 16, 7 points; `euclid
+melnikov` of that field at k = 2 and grid 16, 8 points; the transcendental
+`melnikov` at the default grid 32), a transcendental solve, a k = 1.3 solve
 (each solve's loop file verified again, the flat one too), a long
 correction chord (k = 1.3, eps = 0.05), a transcendental `reduce`, every
 non-zero exit that prints a report (no critical point, a blocked solve, a
@@ -34,6 +37,7 @@ from pathlib import Path
 
 QUADRATIC = "z1^2 + (z2-2)^2"
 TRANSCENDENTAL = "exp(-z1^2)*sin(z2) + tanh(z1*z2)"
+SADDLES = "sin(2*z1)*cos(2*z2)"  # minima, maxima and saddles: a search with many starts
 BOX = "-0.6,0.6,1.2,2.8"
 DEMOS = ("01_reference_circle", "02_curvature_fields", "03_linearized_kernel",
          "04_melnikov_landscape", "05_perturbed_solve", "06_euclidean_oracle")
@@ -60,6 +64,12 @@ CASES = {
                          "--box", "-0.6,0.6,1.4,2.6", "--grid", "8"]],
     "euclid melnikov, small k": [["euclid", "melnikov", "--k", "0.25", "--field", TRANSCENDENTAL,
                                   "--box", BOX, "--grid", "4"]],
+    "melnikov, multi-start": [["melnikov", "--k", "3", "--field", SADDLES,
+                               "--box", "-1.5,1.5,1.2,2.8", "--grid", "16"]],
+    "euclid melnikov, multi-start": [["euclid", "melnikov", "--k", "2", "--field", SADDLES,
+                                      "--box", "-1.5,1.5,-1,1", "--grid", "16"]],
+    "transcendental melnikov": [["melnikov", "--k", "2", "--field", TRANSCENDENTAL,
+                                 "--box", BOX]],
     "transcendental solve": [["solve", "--k", "2", "--eps", "0.01", "--field", TRANSCENDENTAL,
                               "--box", BOX, "--grid", "12", "--out", "loop.csv"],
                              ["verify", "--in", "loop.csv", "--k", "2"]],
